@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .enumeration import DEFAULT_CAP, sweep_source
+from .enumeration import DEFAULT_CAP, check_cap, sweep_source
 from .errors import GraphFormatError, OverCapError
-from .graphs import Graph, complete_graph, graph_from_edges, is_connected, parse_graph6
+from .graphs import Graph, bfs_layers, complete_graph, graph_from_edges, is_connected, parse_graph6
 
 MINOR_MAX_VERTICES = 10
 
@@ -93,8 +93,10 @@ def classify_stream(
 
     Yields dicts with "type" in {"graph", "skipped", "error"}, then a final
     {"type": "summary"} record.  Disconnected and over-cap graphs are
-    skipped, not fatal; malformed lines become error records.
+    skipped, not fatal; malformed lines become error records.  A cap over
+    the enumeration maximum raises ValueError before any record.
     """
+    check_cap(cap)
     graphs = errors = skipped = 0
     class_counts = {"class_i": 0, "class_ii": 0, "class_iii": 0}
     for index, raw in enumerate(lines):
@@ -148,18 +150,7 @@ def classify_stream(
 def _connected_subsets(g: Graph) -> list[int]:
     subsets = []
     for mask in range(1, 1 << g.n):
-        root = (mask & -mask).bit_length() - 1
-        seen = frontier = 1 << root
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                nxt |= g.adjacency[v]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        if seen == mask:
+        if sum(bfs_layers(g.adjacency, mask & -mask, mask)) == mask:
             subsets.append(mask)
     # Small sets first so witnesses made of singletons are found immediately.
     subsets.sort(key=lambda mask: (bin(mask).count("1"), mask))

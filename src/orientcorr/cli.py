@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 graph parse error, 4 enumeration
-cap exceeded.  All exact values are printed as decimal-digit strings or
-NUM/2^EXP rationals; floats appear only in display columns.
+cap exceeded, 5 a `bounds` check failed.  All exact values are printed as
+decimal-digit strings or NUM/2^EXP rationals; floats appear only in display
+columns.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_OVER_CAP = 4
+EXIT_CHECK_FAILED = 5
 
 
 def _default_threads() -> int:
@@ -346,12 +348,13 @@ def cmd_bounds(args) -> int:
         print(f"bounds: need --max-n >= 3, got {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
     rows = complete.bound_report(args.max_n)
+    all_ok = all(r.all_ok() for r in rows)
     if args.json:
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": "bounds",
             "max_n": args.max_n,
-            "all_ok": all(r.all_ok() for r in rows),
+            "all_ok": all_ok,
             "rows": [
                 {
                     "n": r.n,
@@ -371,7 +374,7 @@ def cmd_bounds(args) -> int:
             ],
         }
         print(json.dumps(record))
-        return EXIT_OK
+        return EXIT_OK if all_ok else EXIT_CHECK_FAILED
     def mark(flag):
         return "-" if flag is None else ("ok" if flag else "FAIL")
     print("  n  s_lo  s_hi  j_lo  j_hi  sum2a sum2b  sum3  mdec  m<5  2^(n-2)*p1    2^(2n-3)*p2")
@@ -387,8 +390,9 @@ def cmd_bounds(args) -> int:
               + f"  {below.ljust(3)}"
               + f"  {r.single_scaled_limit:<12.8f}"
               + (f"  {r.joint_scaled_limit:<12.8f}" if r.joint_scaled_limit is not None else "  -"))
-    if not all(r.all_ok() for r in rows):
+    if not all_ok:
         print("bounds: at least one check failed", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation
-from .graphs import Graph, Triple
+from .graphs import Graph, Triple, bfs_layers
 
 
 @dataclass(frozen=True)
@@ -77,24 +77,10 @@ class ForestVerdict:
 
 def _distances(g: Graph, source: int) -> list[int | None]:
     dist: list[int | None] = [None] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    level = 0
-    while frontier:
-        level += 1
-        nxt = 0
-        rest = frontier
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt |= g.adjacency[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        rest = frontier
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+    for level, layer in enumerate(bfs_layers(g.adjacency, 1 << source)):
+        while layer:
+            v = (layer & -layer).bit_length() - 1
+            layer &= layer - 1
             dist[v] = level
     return dist
 
@@ -104,19 +90,8 @@ def _is_forest(g: Graph) -> bool:
     components = 0
     unseen = (1 << g.n) - 1
     while unseen:
-        root = (unseen & -unseen).bit_length() - 1
         components += 1
-        seen = frontier = 1 << root
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                nxt |= g.adjacency[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        unseen &= ~seen
+        unseen -= sum(bfs_layers(g.adjacency, unseen & -unseen))
     return g.m == g.n - components
 
 

@@ -1,25 +1,41 @@
-"""Exhaustive walk over the 2^m orientations of a graph.
+"""Exhaustive walk over the 2^m orientations of a graph, and its kernel.
 
 An orientation is an integer word: bit i set means edge i = (u, v) of the
 canonical sorted edge list is directed u -> v, clear means v -> u.  All
-counts are exact Python ints, so chunked or threaded runs aggregate to the
+counts are exact integers, so chunked or threaded runs aggregate to the
 same numbers as a single pass regardless of how the range is split.
+
+The batch kernel evaluates many orientation words at once.  For a batch of
+B words it builds per-vertex out-neighbour bitsets of shape (n, B), one
+uint64 lane per word, and closes reachability by frontier expansion: each
+step ORs in masks[v] on the lanes whose frontier holds v, so a step costs
+O(n) word operations per orientation.  One batch loop, run_batches, feeds
+it words (a contiguous range here, sampled bits in montecarlo) span by span
+and sums the per-batch reductions.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 import os
+from typing import Callable
 
 import numpy as np
 
 from .dyadic import TripleCorrelation
 from .errors import OverCapError
-from .graphs import Graph, Triple
+from .graphs import Graph, Triple, bfs_layers
 
 DEFAULT_CAP = 30
-_AUTO_NUMPY_MIN_BITS = 10
+# The kernel sums counts in int64, which holds a count of 2^62 words but
+# not of 2^63.
+MAX_CAP = 62
+SPAN_BITS = 16
+# Bytes of (n, B) uint64 arrays one batch may hold at once.
+_BATCH_BYTES = 1 << 22
+_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -56,107 +72,146 @@ def _out_adjacency(g: Graph, orientation: int) -> list[int]:
 
 def _reach_set(out_adj: list[int], source: int) -> int:
     """Bitset of vertices reachable from source by forward frontier expansion."""
-    reach = 1 << source
-    frontier = reach
-    while frontier:
-        nxt = 0
-        rest = frontier
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt |= out_adj[v]
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach
+    return sum(bfs_layers(out_adj, 1 << source))
 
 
 def reachable(g: Graph, orientation: int, source: int, target: int) -> bool:
     """Is there a directed path source -> target under this orientation word?
 
-    Only the low m bits of the word are meaningful.
+    One word at a time, in pure Python: the reference the batch kernel is
+    tested against.  Only the low m bits of the word are meaningful.
     """
     return bool(_reach_set(_out_adjacency(g, orientation), source) >> target & 1)
 
 
-def _count_range_python(g: Graph, t: Triple, start: int, stop: int) -> tuple[int, int, int]:
-    n_c = n_d = n_cd = 0
-    a, s, b = t.a, t.s, t.b
-    edges = g.edges
-    n = g.n
-    for word in range(start, stop):
-        out = [0] * n
-        for i, (u, v) in enumerate(edges):
-            if word >> i & 1:
-                out[u] |= 1 << v
-            else:
-                out[v] |= 1 << u
-        c = _reach_set(out, a) >> s & 1
-        d = _reach_set(out, s) >> b & 1
-        n_c += c
-        n_d += d
-        n_cd += c & d
-    return n_c, n_d, n_cd
+# ---------------------------------------------------------------------------
+# Bitset batch kernel.
+
+def batch_masks(g: Graph, words: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Out-neighbour bitsets of every vertex, shape (n, B), for B words.
+
+    words has shape (B,) or (B, W); edge i takes bit i % 64 of column i // 64.
+    With reverse, the bitsets hold in-neighbours instead.
+    """
+    if words.ndim == 1:
+        words = words[:, None]
+    masks = np.zeros((g.n, words.shape[0]), dtype=np.uint64)
+    for i, (u, v) in enumerate(g.edges):
+        fwd = words[:, i // 64] >> np.uint64(i % 64) & _ONE
+        if reverse:
+            u, v = v, u
+        masks[u] |= fwd << np.uint64(v)
+        masks[v] |= (fwd ^ _ONE) << np.uint64(u)
+    return masks
+
+
+def batch_reach(masks: np.ndarray, source: int) -> np.ndarray:
+    """Bitset of the vertices reachable from source, one uint64 per word."""
+    reach = np.full(masks.shape[1], 1 << source, dtype=np.uint64)
+    frontier = reach.copy()
+    live = 1 << source  # vertices in the frontier of at least one word
+    while live:
+        grown = np.zeros_like(reach)
+        while live:
+            v = (live & -live).bit_length() - 1
+            live &= live - 1
+            grown |= masks[v] * (frontier >> np.uint64(v) & _ONE)
+        frontier = grown & ~reach
+        reach |= frontier
+        live = int(np.bitwise_or.reduce(frontier))
+    return reach
+
+
+def _batch_size(n: int, planes: int) -> int:
+    # `planes` (n, B) uint64 arrays within the budget.  At most 2^16 words,
+    # so per-batch float32 counts in sweep_source stay exact.
+    return min(1 << 16, max(1 << 10, _BATCH_BYTES // (8 * n * planes)))
+
+
+def triple_counts(g: Graph, t: Triple, words: np.ndarray) -> np.ndarray:
+    """[#a->s, #s->b, #both] over a batch of orientation words."""
+    masks = batch_masks(g, words)
+    c = batch_reach(masks, t.a) >> np.uint64(t.s) & _ONE
+    d = batch_reach(masks, t.s) >> np.uint64(t.b) & _ONE
+    return np.array([np.count_nonzero(c), np.count_nonzero(d), np.count_nonzero(c & d)],
+                    dtype=np.int64)
+
+
+def _vertex_bits(sets: np.ndarray, n: int) -> np.ndarray:
+    """(B,) uint64 vertex bitsets as a (B, n) float32 0/1 matrix."""
+    octets = sets.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").astype(np.float32)
+
+
+def _sweep_joint(g: Graph, s: int, words: np.ndarray) -> np.ndarray:
+    """(n, n) counts of words with a -> s and s -> b, over one batch."""
+    into = _vertex_bits(batch_reach(batch_masks(g, words, reverse=True), s), g.n)
+    outof = _vertex_bits(batch_reach(batch_masks(g, words), s), g.n)
+    # Exact in float32: every entry is at most the batch size, 2^16 < 2^24.
+    return (into.T @ outof).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
-# numpy batch kernel: evaluates many orientation words at once.  Used both by
-# the exhaustive walk (words = a contiguous range) and by Monte Carlo
-# (words = sampled bits, possibly several 64-bit words per orientation).
+# The batch loop shared by every exhaustive walk and by Monte Carlo.
 
-def _batch_adjacency(g: Graph, words: np.ndarray) -> np.ndarray:
-    """Boolean (B, n, n) adjacency for each orientation word in the batch."""
-    if words.ndim == 1:
-        words = words[:, None]
-    adj = np.zeros((words.shape[0], g.n, g.n), dtype=bool)
-    one = np.uint64(1)
-    for i, (u, v) in enumerate(g.edges):
-        w, b = divmod(i, 64)
-        fwd = ((words[:, w] >> np.uint64(b)) & one).astype(bool)
-        adj[:, u, v] = fwd
-        adj[:, v, u] = ~fwd
-    return adj
+def spans(start: int, stop: int, chunk: int) -> list[tuple[int, int]]:
+    """Split [start, stop) into near-equal spans of at most `chunk` indices."""
+    count = -(-(stop - start) // chunk)
+    size = -(-(stop - start) // count)
+    return [(lo, min(stop, lo + size)) for lo in range(start, stop, size)]
 
 
-def _batch_reach(adj: np.ndarray, source: int, reverse: bool = False) -> np.ndarray:
-    """Boolean (B, n) reachability from source in each batched digraph."""
-    if reverse:
-        adj = adj.transpose(0, 2, 1)
-    reach = np.zeros(adj.shape[:2], dtype=bool)
-    reach[:, source] = True
-    while True:
-        grown = reach | (reach[:, :, None] & adj).any(axis=1)
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
+def run_batches(
+    g: Graph,
+    start: int,
+    stop: int,
+    words: Callable[[int, int], np.ndarray],
+    reduce: Callable[[np.ndarray], np.ndarray],
+    *,
+    threads: int = 1,
+    chunk_bits: int = SPAN_BITS,
+    planes: int = 1,
+) -> np.ndarray:
+    """Sum reduce(words(lo, hi)) over batches covering [start, stop).
+
+    words(lo, hi) returns the orientation words of indices lo..hi-1 and
+    reduce maps them to an int64 count array.  The range is cut into spans
+    of at most 2^chunk_bits indices, shared among `threads` threads, and
+    each span into batches sized for `planes` (n, B) uint64 arrays.
+    """
+    step = _batch_size(g.n, planes)
+
+    def run_span(span: tuple[int, int]) -> np.ndarray:
+        lo, hi = span
+        return sum(reduce(words(b, min(hi, b + step))) for b in range(lo, hi, step))
+
+    parts = spans(start, stop, 1 << chunk_bits)
+    threads = min(resolve_threads(threads), len(parts))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return sum(pool.map(run_span, parts))
+    return sum(map(run_span, parts))
 
 
-def _batch_size(n: int) -> int:
-    # Keep the (B, n, n) temporaries around a few MB.
-    return min(1 << 16, max(1 << 10, (1 << 22) // (n * n)))
+def _arange_words(lo: int, hi: int) -> np.ndarray:
+    return np.arange(lo, hi, dtype=np.uint64)
 
 
-def _count_range_numpy(g: Graph, t: Triple, start: int, stop: int) -> tuple[int, int, int]:
-    n_c = n_d = n_cd = 0
-    step = _batch_size(g.n)
-    for lo in range(start, stop, step):
-        words = np.arange(lo, min(stop, lo + step), dtype=np.uint64)
-        adj = _batch_adjacency(g, words)
-        c = _batch_reach(adj, t.a)[:, t.s]
-        d = _batch_reach(adj, t.s)[:, t.b]
-        n_c += int(np.count_nonzero(c))
-        n_d += int(np.count_nonzero(d))
-        n_cd += int(np.count_nonzero(c & d))
-    return n_c, n_d, n_cd
+def check_cap(cap: int) -> None:
+    if cap > MAX_CAP:
+        raise ValueError(f"enumeration cap {cap} is over the maximum of {MAX_CAP}: "
+                         f"counts of a walk over more than 2^{MAX_CAP} orientations "
+                         f"overflow 64-bit integers")
 
 
-def _pick_backend(backend: str, m: int):
-    if backend == "auto":
-        backend = "numpy" if m >= _AUTO_NUMPY_MIN_BITS else "python"
-    if backend == "python":
-        return _count_range_python
-    if backend == "numpy":
-        return _count_range_numpy
-    raise ValueError(f"unknown backend {backend!r}")
+def _walk_size(g: Graph, cap: int) -> int:
+    check_cap(cap)
+    if g.m > cap:
+        raise OverCapError(
+            f"graph has {g.m} edges, over the enumeration cap of {cap}; "
+            f"use the Monte Carlo estimator for graphs this large"
+        )
+    return 1 << g.m
 
 
 def count_events(
@@ -165,31 +220,14 @@ def count_events(
     *,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
-    chunk_bits: int = 16,
-    backend: str = "auto",
+    chunk_bits: int = SPAN_BITS,
 ) -> OrientationCounts:
     """Count, over all orientations, how often a->s, s->b, and both hold."""
     t.validate(g)
-    m = g.m
-    if m > cap:
-        raise OverCapError(
-            f"graph has {m} edges, over the enumeration cap of {cap}; "
-            f"use the Monte Carlo estimator for graphs this large"
-        )
-    count_range = _pick_backend(backend, m)
-    total = 1 << m
-    chunk = 1 << chunk_bits
-    spans = [(lo, min(total, lo + chunk)) for lo in range(0, total, chunk)]
-    threads = resolve_threads(threads)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: count_range(g, t, *span), spans))
-    else:
-        parts = [count_range(g, t, lo, hi) for lo, hi in spans]
-    n_c = sum(p[0] for p in parts)
-    n_d = sum(p[1] for p in parts)
-    n_cd = sum(p[2] for p in parts)
-    return OrientationCounts(m=m, n_c=n_c, n_d=n_d, n_cd=n_cd)
+    total = _walk_size(g, cap)
+    n_c, n_d, n_cd = run_batches(g, 0, total, _arange_words, partial(triple_counts, g, t),
+                                 threads=threads, chunk_bits=chunk_bits).tolist()
+    return OrientationCounts(m=g.m, n_c=n_c, n_d=n_d, n_cd=n_cd)
 
 
 def exact_correlation(g: Graph, t: Triple, **kwargs) -> TripleCorrelation:
@@ -204,7 +242,6 @@ def sweep_source(
     *,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
-    backend: str = "auto",
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Joint counts for every ordered pair around one middle vertex s.
 
@@ -214,54 +251,9 @@ def sweep_source(
     with both a -> s and s -> b.  into_counts[s] and joint rows/columns at s
     include s itself reaching s; callers exclude s when forming triples.
     """
-    if g.m > cap:
-        raise OverCapError(
-            f"graph has {g.m} edges, over the enumeration cap of {cap}; "
-            f"use the Monte Carlo estimator for graphs this large"
-        )
-    if backend == "auto":
-        backend = "numpy" if g.m >= _AUTO_NUMPY_MIN_BITS else "python"
-    total = 1 << g.m
-    if backend == "python":
-        into = [0] * g.n
-        outof = [0] * g.n
-        joint = [[0] * g.n for _ in range(g.n)]
-        for word in range(total):
-            out_adj = _out_adjacency(g, word)
-            in_adj = [0] * g.n
-            for v in range(g.n):
-                rest = out_adj[v]
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    in_adj[u] |= 1 << v
-            into_set = _reach_set(in_adj, s)
-            from_set = _reach_set(out_adj, s)
-            for a in range(g.n):
-                if into_set >> a & 1:
-                    into[a] += 1
-                    row = joint[a]
-                    rest = from_set
-                    while rest:
-                        b = (rest & -rest).bit_length() - 1
-                        rest &= rest - 1
-                        row[b] += 1
-                if from_set >> a & 1:
-                    outof[a] += 1
-        return into, outof, joint
-
-    into_acc = np.zeros(g.n, dtype=np.int64)
-    outof_acc = np.zeros(g.n, dtype=np.int64)
-    joint_acc = np.zeros((g.n, g.n), dtype=np.int64)
-    step = _batch_size(g.n)
-    for lo in range(0, total, step):
-        words = np.arange(lo, min(total, lo + step), dtype=np.uint64)
-        adj = _batch_adjacency(g, words)
-        into_mask = _batch_reach(adj, s, reverse=True)
-        from_mask = _batch_reach(adj, s)
-        into_acc += into_mask.sum(axis=0, dtype=np.int64)
-        outof_acc += from_mask.sum(axis=0, dtype=np.int64)
-        # float64 matmul is exact here: every entry is an integer count
-        # bounded by the batch size, far under 2**53.
-        joint_acc += (into_mask.astype(np.float64).T @ from_mask.astype(np.float64)).astype(np.int64)
-    return list(map(int, into_acc)), list(map(int, outof_acc)), [list(map(int, row)) for row in joint_acc]
+    total = _walk_size(g, cap)
+    joint = run_batches(g, 0, total, _arange_words, partial(_sweep_joint, g, s),
+                        threads=threads, planes=3).tolist()
+    # s reaches itself in every orientation, so column s of the joint counts
+    # is the into count and row s the from count.
+    return [row[s] for row in joint], list(joint[s]), joint

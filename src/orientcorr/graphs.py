@@ -8,6 +8,7 @@ orientation words throughout the package (bit set means u -> v).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .errors import GraphFormatError
 
@@ -85,19 +86,29 @@ def path_graph(n: int) -> Graph:
     return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
+def bfs_layers(adjacency: Sequence[int], start: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers, as vertex bitsets, from the vertex set `start`.
+
+    adjacency[v] is the bitset of v's neighbours (or out-neighbours).  The
+    first layer is `start` itself; each later one holds the vertices first
+    reached one step further out.  Only vertices in the bitset `within` are
+    entered.  The layers are disjoint, so their sum is the reached set.
+    """
+    seen = frontier = start
     while frontier:
+        yield frontier
         nxt = 0
         rest = frontier
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            nxt |= g.adjacency[v]
-        frontier = nxt & ~seen
+            nxt |= adjacency[v]
+        frontier = nxt & within & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    return sum(bfs_layers(g.adjacency, 1)) == (1 << g.n) - 1
 
 
 # graph6 byte layout: header byte 63+n, then the upper triangle of the

@@ -26,14 +26,14 @@ estimate is (sum q_i g_i^2 - (sum q_i g_i)^2) / samples.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 import math
 
 import numpy as np
 
-from .enumeration import _batch_adjacency, _batch_reach, _batch_size, resolve_threads
+from .enumeration import run_batches, triple_counts
 from .graphs import Graph, Triple, graph_from_edges
 
 _MASK64 = (1 << 64) - 1
@@ -77,21 +77,18 @@ class McEstimate:
         return self.samples - self.count_c - self.count_d + self.count_cd
 
 
-def _sample_range(g: Graph, t: Triple, seed: int, start: int, stop: int) -> tuple[int, int, int]:
-    nwords = (g.m + 63) // 64
-    n_c = n_d = n_cd = 0
-    step = _batch_size(g.n)
-    for lo in range(start, stop, step):
-        hi = min(stop, lo + step)
-        idx = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(nwords) + np.arange(nwords, dtype=np.uint64)
-        words = _mix64_batch(seed, idx)
-        adj = _batch_adjacency(g, words)
-        c = _batch_reach(adj, t.a)[:, t.s]
-        d = _batch_reach(adj, t.s)[:, t.b]
-        n_c += int(np.count_nonzero(c))
-        n_d += int(np.count_nonzero(d))
-        n_cd += int(np.count_nonzero(c & d))
-    return n_c, n_d, n_cd
+def _sample_words(seed: int, nwords: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, nwords) orientation words of samples lo..hi-1."""
+    counters = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(nwords)
+    return _mix64_batch(seed, counters + np.arange(nwords, dtype=np.uint64))
+
+
+def _sample_range(g: Graph, t: Triple, seed: int, start: int, stop: int,
+                  threads: int = 1) -> tuple[int, int, int]:
+    """(count_c, count_d, count_cd) over samples start..stop-1."""
+    counts = run_batches(g, start, stop, partial(_sample_words, seed, (g.m + 63) // 64),
+                         partial(triple_counts, g, t), threads=threads)
+    return tuple(counts.tolist())
 
 
 def delta_method_se(count_c: int, count_d: int, count_cd: int, samples: int) -> float:
@@ -112,17 +109,7 @@ def mc_estimate(g: Graph, t: Triple, samples: int, seed: int, *, threads: int = 
     t.validate(g)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    threads = resolve_threads(threads)
-    if threads > 1:
-        chunk = max(1, -(-samples // threads))
-        spans = [(lo, min(samples, lo + chunk)) for lo in range(0, samples, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: _sample_range(g, t, seed, *span), spans))
-        n_c = sum(p[0] for p in parts)
-        n_d = sum(p[1] for p in parts)
-        n_cd = sum(p[2] for p in parts)
-    else:
-        n_c, n_d, n_cd = _sample_range(g, t, seed, 0, samples)
+    n_c, n_d, n_cd = _sample_range(g, t, seed, 0, samples, threads)
     return McEstimate(
         samples=samples,
         seed=seed,

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON shapes, and byte-stable output."""
 
+import dataclasses
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from orientcorr import (
     path_graph,
     table_row,
 )
+from orientcorr import complete
 from orientcorr.closed_form import CycleTriple
 from orientcorr.cli import THREADS_ENV, _default_threads, main
 from support import diamond
@@ -234,6 +236,41 @@ def test_bounds_json(capsys):
     assert rows[2]["joint_lower_ok"] is None
     assert rows[7]["margin_below_5"] is False
     assert rows[8]["margin_below_5"] is True
+
+
+def test_bounds_failed_check_exits_5(capsys, monkeypatch):
+    real = complete.bound_report
+
+    def one_row_fails(n_max):
+        rows = real(n_max)
+        rows[3] = dataclasses.replace(rows[3], sum3_bound_ok=False)
+        return rows
+
+    assert run_cli(capsys, ["bounds", "--max-n", "8"])[0] == 0
+    monkeypatch.setattr(complete, "bound_report", one_row_fails)
+    code, out, err = run_cli(capsys, ["bounds", "--max-n", "8"])
+    assert code == 5
+    assert "FAIL" in out
+    assert "at least one check failed" in err
+    code, out, _ = run_cli(capsys, ["--json", "bounds", "--max-n", "8"])
+    assert code == 5
+    rec = json.loads(out)
+    assert rec["all_ok"] is False
+    assert rec["rows"][3]["sum3_bound_ok"] is False
+
+
+def test_cap_over_62_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["exact", "--graph6", K4_G6, "--a", "0", "--s", "1",
+                                      "--b", "2", "--cap", "63"])
+    assert code == 2
+    assert out == ""
+    assert "62" in err
+    path = tmp_path / "graphs.g6"
+    path.write_text("not-a-graph\nC~\n")
+    code, out, err = run_cli(capsys, ["classify", "--stream", str(path), "--cap", "63"])
+    assert code == 2
+    assert out == ""
+    assert "62" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,30 @@
-"""Exhaustive orientation counting: goldens, invariants, backends."""
+"""Exhaustive orientation counting: goldens, invariants, the batch kernel."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orientcorr import (
     OverCapError,
     SignedDyadic,
     Triple,
+    classify,
     complete_graph,
     count_events,
     exact_correlation,
     graph_from_edges,
+    mix64,
     path_graph,
     reachable,
     sweep_source,
 )
+from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
+from orientcorr.enumeration import SPAN_BITS, _out_adjacency, batch_masks, spans
+from orientcorr.montecarlo import _sample_range, _sample_words
 from support import diamond, random_graph, star
 
 
@@ -140,17 +147,92 @@ def test_joint_bounded_by_marginals():
         assert counts.n_cd <= min(counts.n_c, counts.n_d)
 
 
-def test_backends_agree():
+# ---------------------------------------------------------------------------
+# The batch kernel against the one-word pure-Python oracle `reachable`.
+
+def _oracle_sweep(g, s, orientations):
+    """(into, from, joint) counts around s by one reachable() call per event."""
+    into, outof = [0] * g.n, [0] * g.n
+    joint = [[0] * g.n for _ in range(g.n)]
+    for word in orientations:
+        ins = [v for v in range(g.n) if reachable(g, word, v, s)]
+        outs = [v for v in range(g.n) if reachable(g, word, s, v)]
+        for a in ins:
+            into[a] += 1
+            for b in outs:
+                joint[a][b] += 1
+        for b in outs:
+            outof[b] += 1
+    return into, outof, joint
+
+
+def _check_against_oracle(g, t):
+    words = range(1 << g.m)
+    into, outof, joint = _oracle_sweep(g, t.s, words)
+    counts = count_events(g, t)
+    assert (counts.n_c, counts.n_d, counts.n_cd) == (into[t.a], outof[t.b], joint[t.a][t.b])
+    assert sweep_source(g, t.s) == (into, outof, joint)
+
+
+@st.composite
+def small_graphs_with_triple(draw):
+    n = draw(st.integers(min_value=3, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    return graph_from_edges(n, edges), Triple(*draw(st.permutations(range(n)))[:3])
+
+
+@st.composite
+def sparse_62_with_triple(draw):
+    # n = 62 with few edges, all among a handful of vertices that include 61,
+    # so the top vertex bit of the uint64 lanes takes part.
+    others = sorted(draw(st.sets(st.integers(min_value=0, max_value=60), min_size=2, max_size=5)))
+    verts = others + [61]
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=6))
+    edges.append((draw(st.sampled_from(others)), 61))
+    a, b = draw(st.permutations(others))[:2]
+    role = draw(st.integers(min_value=0, max_value=2))
+    triple = [(61, a, b), (a, 61, b), (a, b, 61)][role]
+    return graph_from_edges(62, set(edges)), Triple(*triple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_graphs_with_triple(), sparse_62_with_triple()))
+@example((graph_from_edges(5, [(0, 1), (1, 2), (0, 2)]), Triple(0, 1, 2)))  # isolated 3 and 4
+@example((graph_from_edges(4, [(0, 1), (1, 3)]), Triple(2, 1, 3)))  # isolated source
+@example((graph_from_edges(62, [(0, 61), (30, 61), (0, 30)]), Triple(0, 61, 30)))
+def test_kernel_matches_reachable_oracle(case):
+    _check_against_oracle(*case)
+
+
+def test_kernel_matches_oracle_on_seeded_graphs():
     rng = random.Random(53)
     for _ in range(15):
         g = random_graph(rng, rng.randint(3, 6), 0.7)
         a, s, b = rng.sample(range(g.n), 3)
-        t = Triple(a, s, b)
-        py = count_events(g, t, backend="python")
-        npy = count_events(g, t, backend="numpy")
-        assert py == npy
-    with pytest.raises(ValueError):
-        count_events(diamond(), Triple(0, 2, 1), backend="fortran")
+        _check_against_oracle(g, Triple(a, s, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+       start=st.integers(min_value=0, max_value=1 << 32),
+       count=st.integers(min_value=1, max_value=4),
+       order=st.permutations(range(12)))
+def test_sample_range_replays_through_scalar_mix64(seed, start, count, order):
+    # K12 has 66 edges: two 64-bit words per sample, edge i on bit i % 64
+    # of word i // 64.  Nearly every orientation of K12 has both paths, so
+    # the counts alone would not see a misplaced bit: the kernel's
+    # out-neighbour bitsets are compared with the replayed orientation too.
+    g = complete_graph(12)
+    t = Triple(*order[:3])
+    orientations = [mix64(seed, 2 * j) | mix64(seed, 2 * j + 1) << 64
+                    for j in range(start, start + count)]
+    into, outof, joint = _oracle_sweep(g, t.s, orientations)
+    expect = (into[t.a], outof[t.b], joint[t.a][t.b])
+    assert _sample_range(g, t, seed, start, start + count) == expect
+    masks = batch_masks(g, _sample_words(seed, 2, start, start + count))
+    assert masks.T.tolist() == [_out_adjacency(g, word) for word in orientations]
 
 
 def test_every_chunking_and_thread_count_agrees():
@@ -165,18 +247,49 @@ def test_every_chunking_and_thread_count_agrees():
 def test_sweep_source_matches_per_triple_counts():
     for g in (diamond(), complete_graph(4), star(5), path_graph(5)):
         for s in range(g.n):
-            for backend in ("python", "numpy"):
-                into, outof, joint = sweep_source(g, s, backend=backend)
-                for a in range(g.n):
-                    for b in range(g.n):
-                        if len({a, s, b}) != 3:
-                            continue
-                        counts = count_events(g, Triple(a, s, b))
-                        assert into[a] == counts.n_c
-                        assert outof[b] == counts.n_d
-                        assert joint[a][b] == counts.n_cd
+            into, outof, joint = sweep_source(g, s)
+            for a in range(g.n):
+                for b in range(g.n):
+                    if len({a, s, b}) != 3:
+                        continue
+                    counts = count_events(g, Triple(a, s, b))
+                    assert into[a] == counts.n_c
+                    assert outof[b] == counts.n_d
+                    assert joint[a][b] == counts.n_cd
 
 
 def test_sweep_source_over_cap():
     with pytest.raises(OverCapError):
         sweep_source(complete_graph(5), 0, cap=8)
+
+
+def test_sweep_source_threads_are_used_and_agree(monkeypatch):
+    # m = 17 gives two spans of 2^16 words, so a thread count above 1 runs
+    # them on a pool of that many workers, capped at the span count.
+    g = graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
+                             if (u, v) not in {(0, 1), (2, 3), (4, 5), (0, 6)}])
+    assert g.m == 17
+    assert len(spans(0, 1 << g.m, 1 << SPAN_BITS)) == 2
+    pools = []
+
+    class RecordingPool(enumeration.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(enumeration, "ThreadPoolExecutor", RecordingPool)
+    for s in (0, 3, 6):
+        reference = sweep_source(g, s, threads=1)
+        for k in (2, 3):
+            assert sweep_source(g, s, threads=k) == reference
+    assert pools == [2, 2] * 3
+    assert classify(g, threads=4) == classify(g, threads=1)
+
+
+def test_cap_over_62_is_rejected_up_front():
+    # Even a graph far under the cap is refused: the cap itself is invalid.
+    with pytest.raises(ValueError, match="62"):
+        count_events(path_graph(3), Triple(0, 1, 2), cap=63)
+    with pytest.raises(ValueError, match="62"):
+        sweep_source(path_graph(3), 1, cap=63)
+    assert count_events(path_graph(3), Triple(0, 1, 2), cap=62).n_cd == 1
