@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal
 from .errors import GraphFormatError, OverCapError
@@ -67,9 +68,9 @@ def _emit(args, record: dict, human: str) -> None:
 def _load_graph(args) -> Graph:
     if getattr(args, "graph6", None) is not None:
         return parse_graph6(args.graph6)
-    path = args.edges
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_edge_list(text)
+    source = nullcontext(sys.stdin) if args.edges == "-" else open(args.edges)
+    with source as handle:
+        return parse_edge_list(handle.read())
 
 
 def _correlation_lines(cor: TripleCorrelation) -> str:
@@ -256,18 +257,17 @@ def cmd_classify(args) -> int:
         print("classify: give exactly one of --graph6 or --stream", file=sys.stderr)
         return EXIT_USAGE
     if args.stream is not None:
-        handle = sys.stdin if args.stream == "-" else open(args.stream)
-        for rec in classify_stream(handle, cap=args.cap, threads=args.threads,
-                                   outerplanar=args.outerplanar):
-            rec_out = dict(rec)
-            if rec["type"] != "summary":
-                rec_out = {"schema_version": SCHEMA_VERSION, "command": "classify", **rec_out}
-            if args.json:
-                print(json.dumps(rec_out))
-            else:
-                print(_classify_record_human(rec))
-        if handle is not sys.stdin:
-            handle.close()
+        source = nullcontext(sys.stdin) if args.stream == "-" else open(args.stream)
+        with source as handle:
+            for rec in classify_stream(handle, cap=args.cap, threads=args.threads,
+                                       outerplanar=args.outerplanar):
+                rec_out = dict(rec)
+                if rec["type"] != "summary":
+                    rec_out = {"schema_version": SCHEMA_VERSION, "command": "classify", **rec_out}
+                if args.json:
+                    print(json.dumps(rec_out))
+                else:
+                    print(_classify_record_human(rec))
         return EXIT_OK
     g = parse_graph6(args.graph6)
     flags = classify(g, cap=args.cap, threads=args.threads,
@@ -418,6 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help_text, parents=[common])
 
+    def add_graph_source(p: argparse.ArgumentParser) -> None:
+        # The graph is read by _load_graph from exactly one of these.
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--graph6", help="graph6 string")
+        src.add_argument("--edges", help="edge list file, '-' for stdin")
+
     p = add_parser("kn", "exact no-path probabilities on a complete graph")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_kn)
@@ -427,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = add_parser("exact", "exhaustive correlation of one triple")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph6", help="graph6 string")
-    src.add_argument("--edges", help="edge list file, '-' for stdin")
+    add_graph_source(p)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -445,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cycle)
 
     p = add_parser("forest", "forest dichotomy for one triple")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph6", help="graph6 string")
-    src.add_argument("--edges", help="edge list file, '-' for stdin")
+    add_graph_source(p)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = add_parser("mc", "Monte Carlo estimate for one triple")
-    p.add_argument("--edges", required=True, help="edge list file, '-' for stdin")
+    add_graph_source(p)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--b", type=int, required=True)

@@ -6,7 +6,8 @@ vertices has a directed path to a further marked target vertex.
 joint_unreachable_prob(n, k) additionally requires that the target has no
 path to yet another marked vertex.  Both satisfy recursions obtained by
 conditioning on the set of vertices the marked set beats directly, and both
-are dyadic rationals with denominator dividing 2^C(n,2).
+are dyadic rationals with denominator dividing 2^(C(n,2) - C(k,2)), so both
+are summed as integers over that power of two.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dyadic import DyadicProb
+from .dyadic import DyadicProb, _strip_twos
 
 # Exact forms of the decimal constants in the envelope bounds.
 _C_SINGLE_UPPER = Fraction(16, 5)       # 3.2
@@ -28,6 +29,34 @@ _C_MARGIN_1 = Fraction(32, 5)           # 6.4
 _C_MARGIN_2 = Fraction(256, 25)         # 10.24
 
 
+def _scaled(value: Fraction, exp: int) -> int:
+    """value * 2^exp for a value whose denominator divides 2^exp: a shifted numerator."""
+    return value.numerator << (exp + 1 - value.denominator.bit_length())
+
+
+def _recursion_step(n: int, k: int, width: int, child) -> Fraction:
+    """One conditioning step of either recursion, summed in integers.
+
+    The k-set beats exactly i of the `width` candidate vertices directly,
+    each by at least one member ((2^k - 1)^i ways), and loses to the other
+    vertices of the r = n - k left; the rest is the same problem on r
+    vertices with an i-set.  So the value is
+    sum_i C(width, i) (2^k - 1)^i child(r, i) / 2^(k r).  Scaled by
+    2^(C(n,2) - C(k,2)) = 2^(C(r,2) + k r), term i is
+    C(width, i) (2^k - 1)^i child(r, i) 2^C(r,2), an integer.  The sum runs
+    by Horner's rule in 2^k - 1, a shift and a subtraction per term, and
+    one Fraction is built at the end.
+    """
+    r = n - k
+    child_exp = r * (r - 1) // 2
+    binom, total = 1, 0  # binom = C(width, i), carried down from i = width
+    for i in range(width, -1, -1):
+        total = (total << k) - total + binom * _scaled(child(r, i), child_exp)
+        binom = binom * i // (width - i + 1)
+    num, exp = _strip_twos(total, child_exp + k * r)
+    return Fraction(num, 1 << exp)
+
+
 @lru_cache(maxsize=None)
 def unreachable_prob(n: int, k: int) -> Fraction:
     """P(no directed path from any of a k-set to the target) on K_n."""
@@ -37,11 +66,7 @@ def unreachable_prob(n: int, k: int) -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
-    total = Fraction(0)
-    scale = Fraction(1, 2 ** (k * (n - k)))
-    for i in range(n - k):
-        total += comb(n - k - 1, i) * (2**k - 1) ** i * scale * unreachable_prob(n - k, i)
-    return total
+    return _recursion_step(n, k, n - k - 1, unreachable_prob)
 
 
 @lru_cache(maxsize=None)
@@ -53,11 +78,7 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
         return unreachable_prob(n, 1)
     if n < k + 2:
         raise ValueError(f"need n >= k+2, got n={n}, k={k}")
-    total = Fraction(0)
-    scale = Fraction(1, 2 ** (k * (n - k)))
-    for i in range(n - k - 1):
-        total += comb(n - k - 2, i) * (2**k - 1) ** i * scale * joint_unreachable_prob(n - k, i)
-    return total
+    return _recursion_step(n, k, n - k - 2, joint_unreachable_prob)
 
 
 def relative_covariance(n: int) -> Fraction:
@@ -98,19 +119,15 @@ def table_row(n: int) -> KnRow:
         raise ValueError(f"need n >= 2, got {n}")
     exp = n * (n - 1) // 2
     single = unreachable_prob(n, 1)
-    scaled_single = single * 2**exp
-    assert scaled_single.denominator == 1
     if n == 2:
-        return KnRow(n, DyadicProb.from_fraction(single), int(scaled_single), None, None, None)
+        return KnRow(n, DyadicProb.from_fraction(single), _scaled(single, exp), None, None, None)
     joint = joint_unreachable_prob(n, 1)
-    scaled_joint = joint * 2**exp
-    assert scaled_joint.denominator == 1
     return KnRow(
         n=n,
         p_single=DyadicProb.from_fraction(single),
-        scaled_single=int(scaled_single),
+        scaled_single=_scaled(single, exp),
         p_joint=DyadicProb.from_fraction(joint),
-        scaled_joint=int(scaled_joint),
+        scaled_joint=_scaled(joint, exp),
         rel_cov=relative_covariance(n),
     )
 
@@ -119,33 +136,39 @@ def double_binomial_sum(n: int) -> Fraction:
     """Auxiliary sum bounding the single-event envelope slack.
 
     Sum over k of C(n,k) * sum over m of C(n-k,m) / 2^(k*m), both indices
-    starting at 1.  Accumulated as an integer numerator over one power of
-    two to keep the many-term addition cheap.
+    starting at 1.  By the binomial theorem the sum over m is
+    (1 + 2^-k)^(n-k) - 1 = ((2^k + 1)^(n-k) - 2^(k(n-k))) / 2^(k(n-k)), so
+    the terms are accumulated as one integer numerator over 2^top, the
+    largest of those denominators.
     """
     if n < 2:
         return Fraction(0)
-    top = max(k * m for k in range(1, n) for m in range(1, n - k + 1))
+    top = (n // 2) * ((n + 1) // 2)
     num = 0
     for k in range(1, n):
-        for m in range(1, n - k + 1):
-            num += comb(n, k) * comb(n - k, m) << (top - k * m)
+        e = k * (n - k)
+        num += comb(n, k) * (((1 << k) + 1) ** (n - k) - (1 << e)) << (top - e)
     return Fraction(num, 1 << top)
 
 
 def triple_binomial_sum(n: int) -> Fraction:
-    """Auxiliary sum bounding the joint-event envelope slack (three indices)."""
+    """Auxiliary sum bounding the joint-event envelope slack (three indices).
+
+    Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
+    j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
+    ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
+    on i, so each k contributes one integer over 2^(k(n-k)).
+    """
     if n < 3:
         return Fraction(0)
-    top = 0
-    for k in range(1, n):
-        for i in range(1, n - k):
-            for m in range(1, k + 1):
-                top = max(top, k * i + m * (n - k - i))
+    top = (n // 2) * ((n + 1) // 2)
     num = 0
     for k in range(1, n):
+        inner = 0
         for i in range(1, n - k):
-            for m in range(1, k + 1):
-                num += comb(n, k) * comb(n - k, i) * comb(k, m) << (top - k * i - m * (n - k - i))
+            j = n - k - i
+            inner += comb(n - k, i) * (((1 << j) + 1) ** k - (1 << (j * k)))
+        num += comb(n, k) * inner << (top - k * (n - k))
     return Fraction(num, 1 << top)
 
 
@@ -190,6 +213,7 @@ def bound_report(n_max: int) -> list[BoundRow]:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     half = Fraction(1, 2)
     rows = []
+    prev_margin = None
     for n in range(2, n_max + 1):
         single = unreachable_prob(n, 1)
         single_lo = half ** (n - 2) * (1 - half ** (n - 1))
@@ -201,8 +225,10 @@ def bound_report(n_max: int) -> list[BoundRow]:
             joint_lower_ok = joint_lo <= joint
             joint_upper_ok = joint <= joint_hi
             joint_limit = float(joint / half ** (2 * n - 3))
-            margin_below = sign_margin(n) < 5
-            margin_dec = sign_margin(n) < sign_margin(n - 1) if n >= 4 else None
+            margin = sign_margin(n)
+            margin_below = margin < 5
+            margin_dec = margin < prev_margin if prev_margin is not None else None
+            prev_margin = margin
         else:
             joint_lower_ok = joint_upper_ok = None
             joint_limit = None

@@ -16,10 +16,8 @@ def _strip_twos(num: int, exp: int) -> tuple[int, int]:
     # Normal form: numerator odd, or the exact zero 0/2^0.
     if num == 0:
         return 0, 0
-    while num % 2 == 0 and exp > 0:
-        num //= 2
-        exp -= 1
-    return num, exp
+    twos = min((num & -num).bit_length() - 1, exp)
+    return num >> twos, exp - twos
 
 
 @dataclass(frozen=True)

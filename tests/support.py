@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from orientcorr import Graph, graph_from_edges, path_graph
 
@@ -68,3 +71,58 @@ def tree_corpus(minimum: int = 50) -> list[Graph]:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+# Reference forms of the complete-graph recursions and auxiliary sums, kept
+# in plain Fraction arithmetic and literal loops as independent oracles for
+# the integer-scaled code in orientcorr.complete.
+
+@lru_cache(maxsize=None)
+def ref_unreachable_prob(n: int, k: int) -> Fraction:
+    if k == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    scale = Fraction(1, 2 ** (k * (n - k)))
+    for i in range(n - k):
+        total += comb(n - k - 1, i) * (2**k - 1) ** i * scale * ref_unreachable_prob(n - k, i)
+    return total
+
+
+@lru_cache(maxsize=None)
+def ref_joint_unreachable_prob(n: int, k: int) -> Fraction:
+    if k == 0:
+        return Fraction(1, 2) if n == 2 else ref_unreachable_prob(n, 1)
+    total = Fraction(0)
+    scale = Fraction(1, 2 ** (k * (n - k)))
+    for i in range(n - k - 1):
+        total += comb(n - k - 2, i) * (2**k - 1) ** i * scale * ref_joint_unreachable_prob(n - k, i)
+    return total
+
+
+def ref_double_binomial_sum(n: int) -> Fraction:
+    total = 0
+    top = n * n
+    for k in range(1, n):
+        for m in range(1, n - k + 1):
+            total += comb(n, k) * comb(n - k, m) << (top - k * m)
+    return Fraction(total, 1 << top)
+
+
+def ref_triple_binomial_sum(n: int) -> Fraction:
+    total = 0
+    top = n * n
+    for k in range(1, n):
+        for i in range(1, n - k):
+            for m in range(1, k + 1):
+                total += comb(n, k) * comb(n - k, i) * comb(k, m) << (top - k * i - m * (n - k - i))
+    return Fraction(total, 1 << top)
+
+
+def ref_strip_twos(num: int, exp: int) -> tuple[int, int]:
+    """Dyadic normal form by halving one factor of two at a time."""
+    if num == 0:
+        return 0, 0
+    while num % 2 == 0 and exp > 0:
+        num //= 2
+        exp -= 1
+    return num, exp

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, JSON shapes, and byte-stable output."""
 
 import dataclasses
+import gc
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,31 @@ def test_classify_disconnected_needs_flag(capsys):
 def test_outerplanar_probe_cap_exits_4(capsys):
     g6 = emit_graph6(path_graph(11))
     assert run_cli(capsys, ["classify", "--graph6", g6, "--outerplanar"])[0] == 4
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["exact", "--edges", "{edges}", "--a", "0", "--s", "2", "--b", "1"], 0),
+    (["mc", "--edges", "{edges}", "--a", "0", "--s", "2", "--b", "1",
+      "--samples", "10", "--seed", "1"], 0),
+    (["classify", "--stream", "{stream}"], 0),
+    # The cap is checked when the first record is drawn, with the file open.
+    (["classify", "--stream", "{stream}", "--cap", "63"], 2),
+], ids=["exact-edges", "mc-edges", "classify-stream", "classify-stream-error"])
+def test_input_files_are_closed(capsys, tmp_path, monkeypatch, argv, code):
+    edges = tmp_path / "diamond.txt"
+    edges.write_text(DIAMOND_EDGES)
+    stream = tmp_path / "graphs.g6"
+    stream.write_text(K4_G6 + "\n")
+    # A file freed while open warns from its destructor; as an error there,
+    # the warning goes to sys.unraisablehook rather than to the caller.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        got = run_cli(capsys, [a.format(edges=edges, stream=stream) for a in argv])[0]
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
+    assert got == code
 
 
 def test_missing_edge_file_exits_2(capsys):
@@ -226,6 +253,17 @@ def test_mc_json_matches_library(capsys, tmp_path):
     assert rec["count_neither"] == est.count_neither
     assert rec["count_neither"] == 2000 - rec["count_c"] - rec["count_d"] + rec["count_cd"]
     assert rec["cov_hat"] == pytest.approx(est.cov_hat)
+
+
+def test_mc_graph6_equals_edges(capsys, tmp_path):
+    path = tmp_path / "diamond.txt"
+    path.write_text(DIAMOND_EDGES)
+    argv_tail = ["--a", "0", "--s", "2", "--b", "1", "--samples", "3000", "--seed", "5"]
+    code_edges, by_edges, _ = run_cli(capsys, ["--json", "mc", "--edges", str(path)] + argv_tail)
+    code_g6, by_g6, _ = run_cli(capsys, ["--json", "mc", "--graph6", emit_graph6(diamond())] + argv_tail)
+    assert code_edges == code_g6 == 0
+    assert by_g6 == by_edges
+    assert json.loads(by_g6)["count_c"] == mc_estimate(diamond(), Triple(0, 2, 1), 3000, 5).count_c
 
 
 def test_bounds_json(capsys):

@@ -19,6 +19,12 @@ from orientcorr import (
     triple_binomial_sum,
     unreachable_prob,
 )
+from support import (
+    ref_double_binomial_sum,
+    ref_joint_unreachable_prob,
+    ref_triple_binomial_sum,
+    ref_unreachable_prob,
+)
 
 # Golden rows: scaled no-path probabilities over 2^C(n,2) and the relative
 # covariance to six decimals.  Cross-checked against exhaustive enumeration
@@ -76,13 +82,29 @@ def test_table_rows_match_goldens(n):
 def test_recursion_equals_enumeration():
     # The two independent routes to P(no path): conditioning recursion vs
     # walking every orientation.  Complement counts give the no-path side.
-    for n in range(3, 6):
+    for n in range(3, 7):
         counts = count_events(complete_graph(n), Triple(0, 1, 2))
         total = counts.total
         no_single = Fraction(total - counts.n_c, total)
         no_joint = Fraction(total - counts.n_c - counts.n_d + counts.n_cd, total)
         assert unreachable_prob(n, 1) == no_single
         assert joint_unreachable_prob(n, 1) == no_joint
+
+
+def test_recursions_match_fraction_reference():
+    # Every valid state up to n = 30 against the recursions written directly
+    # in Fraction arithmetic.
+    for n in range(1, 31):
+        for k in range(n):
+            assert unreachable_prob(n, k) == ref_unreachable_prob(n, k), (n, k)
+        for k in range(n - 1):
+            assert joint_unreachable_prob(n, k) == ref_joint_unreachable_prob(n, k), (n, k)
+
+
+def test_auxiliary_sums_match_triple_loop_reference():
+    for n in range(0, 41):
+        assert double_binomial_sum(n) == ref_double_binomial_sum(n), n
+        assert triple_binomial_sum(n) == ref_triple_binomial_sum(n), n
 
 
 def test_sign_sequence():

@@ -4,7 +4,7 @@ from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orientcorr import (
     DyadicProb,
@@ -13,6 +13,8 @@ from orientcorr import (
     fraction_to_decimal,
     parse_dyadic,
 )
+from orientcorr.dyadic import _strip_twos
+from support import ref_strip_twos
 
 
 def test_normal_form():
@@ -72,6 +74,17 @@ def test_normalization_preserves_value(num, exp):
     assert p.as_fraction() == Fraction(num, 1 << exp)
     assert p.num % 2 == 1 or (p.num == 0 and p.exp == 0)
     assert parse_dyadic(str(p)) == p
+
+
+@given(st.integers(-2**20, 2**20), st.integers(0, 300), st.integers(0, 320))
+@example(0, 0, 5)
+@example(1, 0, 0)
+@example(3, 7, 4)      # fewer twos allowed than the numerator holds
+@example(-5, 12, 3)
+@example(1, 300, 0)
+def test_strip_twos_matches_halving_loop(factor, twos, exp):
+    num = factor << twos
+    assert _strip_twos(num, exp) == ref_strip_twos(num, exp)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6), st.integers(0, 8))
