@@ -14,19 +14,23 @@ vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .enumeration import DEFAULT_CAP, check_cap, sweep_source
 from .errors import GraphFormatError, OverCapError
-from .graphs import Graph, bfs_layers, complete_graph, graph_from_edges, is_connected, parse_graph6
+from .graphs import (Graph, bfs_layers, complete_graph, graph_from_edges, is_connected,
+                     neighbours, parse_graph6)
 
 MINOR_MAX_VERTICES = 10
 
 
 @dataclass(frozen=True)
 class ClassFlags:
-    """Triple-sign census and the resulting class memberships."""
+    """Triple-sign census and the resulting class memberships.
+
+    The field order is the key order of the census in `classify --json`.
+    """
 
     neg_triples: int
     zero_triples: int
@@ -126,16 +130,11 @@ def classify_stream(
                    "n": g.n, "m": g.m, "reason": str(exc)}
             continue
         graphs += 1
-        record.update(
-            neg_triples=flags.neg_triples,
-            zero_triples=flags.zero_triples,
-            pos_triples=flags.pos_triples,
-            class_i=flags.class_i,
-            class_ii=flags.class_ii,
-            class_iii=flags.class_iii,
-        )
+        census = asdict(flags)
+        del census["disconnected"]  # always False: disconnected graphs were skipped
+        record.update(census)
         for key in class_counts:
-            class_counts[key] += getattr(flags, key)
+            class_counts[key] += census[key]
         if outerplanar:
             record["outerplanar"] = is_outerplanar(g) if g.n <= MINOR_MAX_VERTICES else None
         yield record
@@ -168,16 +167,7 @@ def has_minor(g: Graph, h: Graph) -> bool:
     if h.n > g.n:
         return False
     subsets = _connected_subsets(g)
-    neighbor_mask = []
-    for mask in subsets:
-        nbr = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nbr |= g.adjacency[v]
-        neighbor_mask.append(nbr & ~mask)
-    nbr_of = dict(zip(subsets, neighbor_mask))
+    nbr_of = {mask: neighbours(g.adjacency, mask) & ~mask for mask in subsets}
     # Place high-degree vertices of h first: their adjacency constraints
     # prune hardest.
     h_deg = [bin(h.adjacency[v]).count("1") for v in range(h.n)]

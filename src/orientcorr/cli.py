@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal
 from .errors import GraphFormatError, OverCapError
@@ -43,6 +44,10 @@ def _default_threads() -> int:
     return value if value >= 0 else 1
 
 
+def _record(command: str, **fields) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+
+
 def _dyadic_json(p: DyadicProb) -> dict:
     return {"exact": str(p), "float": float(p)}
 
@@ -65,12 +70,22 @@ def _emit(args, record: dict, human: str) -> None:
         print(human)
 
 
-def _load_graph(args) -> Graph:
-    if getattr(args, "graph6", None) is not None:
-        return parse_graph6(args.graph6)
-    source = nullcontext(sys.stdin) if args.edges == "-" else open(args.edges)
-    with source as handle:
-        return parse_edge_list(handle.read())
+def _load_graph_triple(args) -> tuple[Graph, Triple]:
+    if args.graph6 is not None:
+        g = parse_graph6(args.graph6)
+    else:
+        source = nullcontext(sys.stdin) if args.edges == "-" else open(args.edges)
+        with source as handle:
+            g = parse_edge_list(handle.read())
+    return g, Triple(args.a, args.s, args.b)
+
+
+def _triple_fields(g: Graph, t: Triple) -> dict:
+    return {"n": g.n, "m": g.m, **asdict(t)}
+
+
+def _triple_header(g: Graph, t: Triple) -> str:
+    return f"n = {g.n}, m = {g.m}, triple (a={t.a}, s={t.s}, b={t.b})"
 
 
 def _correlation_lines(cor: TripleCorrelation) -> str:
@@ -87,16 +102,15 @@ def cmd_kn(args) -> int:
         print(f"kn: need --n >= 2, got {args.n}", file=sys.stderr)
         return EXIT_USAGE
     row = complete.table_row(args.n)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "kn",
-        "n": row.n,
-        "p_single": _dyadic_json(row.p_single),
-        "scaled_single": str(row.scaled_single),
-        "p_joint": _dyadic_json(row.p_joint) if row.p_joint else None,
-        "scaled_joint": str(row.scaled_joint) if row.scaled_joint is not None else None,
-        "rel_cov": fraction_to_decimal(row.rel_cov, 6) if row.rel_cov is not None else None,
-    }
+    record = _record(
+        "kn",
+        n=row.n,
+        p_single=_dyadic_json(row.p_single),
+        scaled_single=str(row.scaled_single),
+        p_joint=_dyadic_json(row.p_joint) if row.p_joint else None,
+        scaled_joint=str(row.scaled_joint) if row.scaled_joint is not None else None,
+        rel_cov=fraction_to_decimal(row.rel_cov, 6) if row.rel_cov is not None else None,
+    )
     lines = [
         f"n             = {row.n}",
         f"p_single      = {row.p_single}  ({fraction_to_decimal(row.p_single.as_fraction(), 4)})",
@@ -112,64 +126,48 @@ def cmd_kn(args) -> int:
     return EXIT_OK
 
 
+TABLE_HEADER = ("n", "scaled_single", "p_single", "scaled_joint", "p_joint", "rel_cov")
+
+
+def _table_cells(r: complete.KnRow) -> tuple:
+    """One table row in TABLE_HEADER order; None where n is too small for a value."""
+    return (
+        r.n,
+        str(r.scaled_single),
+        fraction_to_decimal(r.p_single.as_fraction(), 4),
+        str(r.scaled_joint) if r.scaled_joint is not None else None,
+        fraction_to_decimal(r.p_joint.as_fraction(), 7) if r.p_joint else None,
+        fraction_to_decimal(r.rel_cov, 6) if r.rel_cov is not None else None,
+    )
+
+
 def cmd_table(args) -> int:
     if args.max_n < 2:
         print(f"table: need --max-n >= 2, got {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
-    rows = [complete.table_row(n) for n in range(2, args.max_n + 1)]
+    cells = [_table_cells(complete.table_row(n)) for n in range(2, args.max_n + 1)]
     if args.json:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "table",
-            "max_n": args.max_n,
-            "rows": [
-                {
-                    "n": r.n,
-                    "scaled_single": str(r.scaled_single),
-                    "p_single": fraction_to_decimal(r.p_single.as_fraction(), 4),
-                    "scaled_joint": str(r.scaled_joint) if r.scaled_joint is not None else None,
-                    "p_joint": fraction_to_decimal(r.p_joint.as_fraction(), 7) if r.p_joint else None,
-                    "rel_cov": fraction_to_decimal(r.rel_cov, 6) if r.rel_cov is not None else None,
-                }
-                for r in rows
-            ],
-        }
-        print(json.dumps(record))
+        rows = [dict(zip(TABLE_HEADER, row)) for row in cells]
+        print(json.dumps(_record("table", max_n=args.max_n, rows=rows)))
         return EXIT_OK
-    widths = (3, max(len(str(r.scaled_single)) for r in rows), 7,
-              max(len(str(r.scaled_joint or "")) for r in rows), 10, 10)
-    header = ("n", "scaled_single", "p_single", "scaled_joint", "p_joint", "rel_cov")
-    widths = tuple(max(w, len(h)) for w, h in zip(widths, header))
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        cells = (
-            str(r.n),
-            str(r.scaled_single),
-            fraction_to_decimal(r.p_single.as_fraction(), 4),
-            str(r.scaled_joint) if r.scaled_joint is not None else "-",
-            fraction_to_decimal(r.p_joint.as_fraction(), 7) if r.p_joint else "-",
-            fraction_to_decimal(r.rel_cov, 6) if r.rel_cov is not None else "-",
-        )
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
+    lines = [TABLE_HEADER] + [tuple("-" if c is None else str(c) for c in row) for row in cells]
+    # Each column fits its header and cells; n and the last two decimal
+    # columns also keep their fixed minimum widths.
+    widths = [max(least, *map(len, column))
+              for least, column in zip((3, 0, 0, 0, 10, 10), zip(*lines))]
+    for line in lines:
+        print("  ".join(c.rjust(w) for c, w in zip(line, widths)))
     return EXIT_OK
 
 
 def cmd_exact(args) -> int:
-    g = _load_graph(args)
-    t = Triple(args.a, args.s, args.b)
+    g, t = _load_graph_triple(args)
     counts = count_events(g, t, cap=args.cap, threads=args.threads)
     cor = TripleCorrelation.from_scaled(counts.n_c, counts.n_d, counts.n_cd, counts.m)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "exact",
-        "n": g.n,
-        "m": g.m,
-        "a": t.a, "s": t.s, "b": t.b,
-        "n_c": counts.n_c, "n_d": counts.n_d, "n_cd": counts.n_cd,
-        **_correlation_json(cor),
-    }
+    record = _record("exact", **_triple_fields(g, t),
+                     n_c=counts.n_c, n_d=counts.n_d, n_cd=counts.n_cd, **_correlation_json(cor))
     human = (
-        f"n = {g.n}, m = {g.m}, triple (a={t.a}, s={t.s}, b={t.b})\n"
+        f"{_triple_header(g, t)}\n"
         f"counts over 2^{counts.m}: n_c={counts.n_c} n_d={counts.n_d} n_cd={counts.n_cd}\n"
         + _correlation_lines(cor)
     )
@@ -198,12 +196,7 @@ def cmd_cycle(args) -> int:
         print(f"cycle: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cor = closed_form.cycle_correlation(triple)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cycle",
-        "n": triple.n, "c": triple.c, "d": triple.d,
-        **_correlation_json(cor),
-    }
+    record = _record("cycle", **asdict(triple), **_correlation_json(cor))
     human = (
         f"cycle n = {triple.n}, arcs c = {triple.c}, d = {triple.d}\n"
         + _correlation_lines(cor)
@@ -213,19 +206,12 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_forest(args) -> int:
-    g = _load_graph(args)
-    t = Triple(args.a, args.s, args.b)
+    g, t = _load_graph_triple(args)
     verdict = closed_form.forest_correlation(g, t)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "forest",
-        "n": g.n, "m": g.m,
-        "a": t.a, "s": t.s, "b": t.b,
-        "kind": verdict.kind,
-        **_correlation_json(verdict.correlation()),
-    }
+    record = _record("forest", **_triple_fields(g, t), kind=verdict.kind,
+                     **_correlation_json(verdict.correlation()))
     human = (
-        f"n = {g.n}, m = {g.m}, triple (a={t.a}, s={t.s}, b={t.b})\n"
+        f"{_triple_header(g, t)}\n"
         f"kind  = {verdict.kind}\n"
         + _correlation_lines(verdict.correlation())
     )
@@ -261,30 +247,17 @@ def cmd_classify(args) -> int:
         with source as handle:
             for rec in classify_stream(handle, cap=args.cap, threads=args.threads,
                                        outerplanar=args.outerplanar):
-                rec_out = dict(rec)
-                if rec["type"] != "summary":
-                    rec_out = {"schema_version": SCHEMA_VERSION, "command": "classify", **rec_out}
-                if args.json:
-                    print(json.dumps(rec_out))
-                else:
-                    print(_classify_record_human(rec))
+                record = rec if rec["type"] == "summary" else _record("classify", **rec)
+                _emit(args, record, _classify_record_human(rec))
         return EXIT_OK
     g = parse_graph6(args.graph6)
+    if args.outerplanar and g.n > MINOR_MAX_VERTICES:
+        print(f"classify: outerplanarity probe is capped at {MINOR_MAX_VERTICES} vertices",
+              file=sys.stderr)
+        return EXIT_OVER_CAP
     flags = classify(g, cap=args.cap, threads=args.threads,
                      allow_disconnected=args.allow_disconnected)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
-        "graph6": args.graph6,
-        "n": g.n, "m": g.m,
-        "neg_triples": flags.neg_triples,
-        "zero_triples": flags.zero_triples,
-        "pos_triples": flags.pos_triples,
-        "class_i": flags.class_i,
-        "class_ii": flags.class_ii,
-        "class_iii": flags.class_iii,
-        "disconnected": flags.disconnected,
-    }
+    record = _record("classify", graph6=args.graph6, n=g.n, m=g.m, **asdict(flags))
     lines = [
         f"n = {g.n}, m = {g.m}",
         f"triples: neg={flags.neg_triples} zero={flags.zero_triples} pos={flags.pos_triples}",
@@ -295,10 +268,6 @@ def cmd_classify(args) -> int:
     if flags.disconnected:
         lines.append("note: graph is disconnected; cross-component events have probability 0")
     if args.outerplanar:
-        if g.n > MINOR_MAX_VERTICES:
-            print(f"classify: outerplanarity probe is capped at {MINOR_MAX_VERTICES} vertices",
-                  file=sys.stderr)
-            return EXIT_OVER_CAP
         record["outerplanar"] = is_outerplanar(g)
         lines.append(f"outerplanar: {record['outerplanar']}")
     _emit(args, record, "\n".join(lines))
@@ -306,31 +275,30 @@ def cmd_classify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    g = _load_graph(args)
-    t = Triple(args.a, args.s, args.b)
+    g, t = _load_graph_triple(args)
     if args.samples < 1:
         print(f"mc: need --samples >= 1, got {args.samples}", file=sys.stderr)
         return EXIT_USAGE
     est = mc_estimate(g, t, args.samples, args.seed, threads=args.threads)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "mc",
-        "n": g.n, "m": g.m,
-        "a": t.a, "s": t.s, "b": t.b,
-        "samples": est.samples,
-        "seed": est.seed,
-        "count_c": est.count_c,
-        "count_d": est.count_d,
-        "count_cd": est.count_cd,
-        "count_neither": est.count_neither,
-        "p_c_hat": est.p_c_hat,
-        "p_d_hat": est.p_d_hat,
-        "p_cd_hat": est.p_cd_hat,
-        "cov_hat": est.cov_hat,
-        "se_cov": est.se_cov,
-    }
+    # Written out rather than asdict(est): count_neither is a property, and
+    # it sits between the counts and the estimates.
+    record = _record(
+        "mc",
+        **_triple_fields(g, t),
+        samples=est.samples,
+        seed=est.seed,
+        count_c=est.count_c,
+        count_d=est.count_d,
+        count_cd=est.count_cd,
+        count_neither=est.count_neither,
+        p_c_hat=est.p_c_hat,
+        p_d_hat=est.p_d_hat,
+        p_cd_hat=est.p_cd_hat,
+        cov_hat=est.cov_hat,
+        se_cov=est.se_cov,
+    )
     human = (
-        f"n = {g.n}, m = {g.m}, triple (a={t.a}, s={t.s}, b={t.b})\n"
+        f"{_triple_header(g, t)}\n"
         f"samples = {est.samples}, seed = {est.seed}\n"
         f"counts: c={est.count_c} d={est.count_d} cd={est.count_cd} neither={est.count_neither}\n"
         f"p_c_hat  = {est.p_c_hat:.6f}\n"
@@ -350,29 +318,8 @@ def cmd_bounds(args) -> int:
     rows = complete.bound_report(args.max_n)
     all_ok = all(r.all_ok() for r in rows)
     if args.json:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "bounds",
-            "max_n": args.max_n,
-            "all_ok": all_ok,
-            "rows": [
-                {
-                    "n": r.n,
-                    "single_lower_ok": r.single_lower_ok,
-                    "single_upper_ok": r.single_upper_ok,
-                    "joint_lower_ok": r.joint_lower_ok,
-                    "joint_upper_ok": r.joint_upper_ok,
-                    "sum2_bound_a_ok": r.sum2_bound_a_ok,
-                    "sum2_bound_b_ok": r.sum2_bound_b_ok,
-                    "sum3_bound_ok": r.sum3_bound_ok,
-                    "margin_below_5": r.margin_below_5,
-                    "margin_decreased": r.margin_decreased,
-                    "single_scaled_limit": r.single_scaled_limit,
-                    "joint_scaled_limit": r.joint_scaled_limit,
-                }
-                for r in rows
-            ],
-        }
+        record = _record("bounds", max_n=args.max_n, all_ok=all_ok,
+                         rows=[asdict(r) for r in rows])
         print(json.dumps(record))
         return EXIT_OK if all_ok else EXIT_CHECK_FAILED
     def mark(flag):
@@ -418,11 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help_text, parents=[common])
 
-    def add_graph_source(p: argparse.ArgumentParser) -> None:
-        # The graph is read by _load_graph from exactly one of these.
+    def add_graph_triple(p: argparse.ArgumentParser) -> None:
+        # Read by _load_graph_triple: the graph from exactly one source.
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph6", help="graph6 string")
         src.add_argument("--edges", help="edge list file, '-' for stdin")
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
 
     p = add_parser("kn", "exact no-path probabilities on a complete graph")
     p.add_argument("--n", type=int, required=True)
@@ -433,10 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = add_parser("exact", "exhaustive correlation of one triple")
-    add_graph_source(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    add_graph_triple(p)
     p.set_defaults(func=cmd_exact)
 
     p = add_parser("cycle", "closed-form correlation on a cycle")
@@ -449,10 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cycle)
 
     p = add_parser("forest", "forest dichotomy for one triple")
-    add_graph_source(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    add_graph_triple(p)
     p.set_defaults(func=cmd_forest)
 
     p = add_parser("classify", "triple-sign census and class flags")
@@ -465,10 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = add_parser("mc", "Monte Carlo estimate for one triple")
-    add_graph_source(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    add_graph_triple(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_mc)

@@ -183,7 +183,10 @@ def sign_margin(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """Exact-rational verdicts for the analytic bounds at one n."""
+    """Exact-rational verdicts for the analytic bounds at one n.
+
+    The field order is the key order of a `bounds --json` row.
+    """
 
     n: int
     single_lower_ok: bool

@@ -169,14 +169,13 @@ def run_batches(
     reduce: Callable[[np.ndarray], np.ndarray],
     *,
     threads: int = 1,
-    chunk_bits: int = SPAN_BITS,
     planes: int = 1,
 ) -> np.ndarray:
     """Sum reduce(words(lo, hi)) over batches covering [start, stop).
 
     words(lo, hi) returns the orientation words of indices lo..hi-1 and
     reduce maps them to an int64 count array.  The range is cut into spans
-    of at most 2^chunk_bits indices, shared among `threads` threads, and
+    of at most 2^SPAN_BITS indices, shared among `threads` threads, and
     each span into batches sized for `planes` (n, B) uint64 arrays.
     """
     step = _batch_size(g.n, planes)
@@ -185,7 +184,7 @@ def run_batches(
         lo, hi = span
         return sum(reduce(words(b, min(hi, b + step))) for b in range(lo, hi, step))
 
-    parts = spans(start, stop, 1 << chunk_bits)
+    parts = spans(start, stop, 1 << SPAN_BITS)
     threads = min(resolve_threads(threads), len(parts))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -220,13 +219,12 @@ def count_events(
     *,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
-    chunk_bits: int = SPAN_BITS,
 ) -> OrientationCounts:
     """Count, over all orientations, how often a->s, s->b, and both hold."""
     t.validate(g)
     total = _walk_size(g, cap)
     n_c, n_d, n_cd = run_batches(g, 0, total, _arange_words, partial(triple_counts, g, t),
-                                 threads=threads, chunk_bits=chunk_bits).tolist()
+                                 threads=threads).tolist()
     return OrientationCounts(m=g.m, n_c=n_c, n_d=n_d, n_cd=n_cd)
 
 

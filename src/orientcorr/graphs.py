@@ -86,6 +86,16 @@ def path_graph(n: int) -> Graph:
     return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
+def neighbours(adjacency: Sequence[int], vertices: int) -> int:
+    """Union of adjacency[v] over the vertices v in the bitset `vertices`."""
+    nbr = 0
+    while vertices:
+        v = (vertices & -vertices).bit_length() - 1
+        vertices &= vertices - 1
+        nbr |= adjacency[v]
+    return nbr
+
+
 def bfs_layers(adjacency: Sequence[int], start: int, within: int = -1) -> Iterator[int]:
     """Breadth-first layers, as vertex bitsets, from the vertex set `start`.
 
@@ -97,13 +107,7 @@ def bfs_layers(adjacency: Sequence[int], start: int, within: int = -1) -> Iterat
     seen = frontier = start
     while frontier:
         yield frontier
-        nxt = 0
-        rest = frontier
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt |= adjacency[v]
-        frontier = nxt & within & ~seen
+        frontier = neighbours(adjacency, frontier) & within & ~seen
         seen |= frontier
 
 

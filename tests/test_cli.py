@@ -108,6 +108,17 @@ def test_outerplanar_probe_cap_exits_4(capsys):
     assert run_cli(capsys, ["classify", "--graph6", g6, "--outerplanar"])[0] == 4
 
 
+def test_outerplanar_probe_cap_is_checked_before_the_census(capsys, monkeypatch):
+    def census(*args, **kwargs):
+        raise AssertionError("the census ran on a graph over the probe's cap")
+
+    monkeypatch.setattr("orientcorr.cli.classify", census)
+    g6 = emit_graph6(graph_from_edges(11, [(v, (v + 1) % 11) for v in range(11)]))
+    code, out, err = run_cli(capsys, ["classify", "--graph6", g6, "--outerplanar"])
+    assert (code, out) == (4, "")
+    assert "capped at 10 vertices" in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["exact", "--edges", "{edges}", "--a", "0", "--s", "2", "--b", "1"], 0),
     (["mc", "--edges", "{edges}", "--a", "0", "--s", "2", "--b", "1",
@@ -382,6 +393,19 @@ def test_consecutive_runs_are_identical(capsys, argv):
     first = run_cli(capsys, argv)
     second = run_cli(capsys, argv)
     assert first == second
+
+
+# tests/data/cli_golden.json holds the stdout, stderr and exit code of each
+# case as the CLI printed them before its records were built from the result
+# dataclasses.  It pins the text and JSON output byte for byte, so it is
+# never regenerated from the code it checks.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_output_matches_frozen_snapshot(capsys, monkeypatch, case):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"] or ""))
+    assert run_cli(capsys, case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 @pytest.mark.parametrize("argv", [

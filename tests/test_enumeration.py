@@ -235,13 +235,14 @@ def test_sample_range_replays_through_scalar_mix64(seed, start, count, order):
     assert masks.T.tolist() == [_out_adjacency(g, word) for word in orientations]
 
 
-def test_every_chunking_and_thread_count_agrees():
+def test_every_chunking_and_thread_count_agrees(monkeypatch):
     g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     t = Triple(0, 3, 5)
-    reference = count_events(g, t, chunk_bits=16, threads=1)
-    for chunk_bits in (0, 2, 5, 7, 16):
+    reference = count_events(g, t, threads=1)
+    for span_bits in (0, 2, 5, 7, 16):
+        monkeypatch.setattr(enumeration, "SPAN_BITS", span_bits)
         for threads in (1, 2, 3, 8):
-            assert count_events(g, t, chunk_bits=chunk_bits, threads=threads) == reference
+            assert count_events(g, t, threads=threads) == reference
 
 
 def test_sweep_source_matches_per_triple_counts():
