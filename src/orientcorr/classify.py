@@ -7,20 +7,20 @@ Over all ordered triples (a, s, b) of distinct vertices:
 * class II  - both signs occur, or some triple is exactly independent.
 
 The classes overlap: a graph whose triples are all independent is in all
-three.  Minor containment (used for the outerplanarity probe) is decided by
-brute-force search over branch sets, which is why it is capped at 10
-vertices.
+three.  Outerplanarity is decided in linear time, block by block, by
+Mitchell's reduction of degree-2 vertices, so it has no vertex cap.  The
+brute-force minor search `has_minor` is capped at 10 vertices; it is kept
+as the independent check of that test.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .enumeration import DEFAULT_CAP, check_cap, sweep_source
 from .errors import GraphFormatError, OverCapError
-from .graphs import (Graph, bfs_layers, complete_graph, graph_from_edges, is_connected,
-                     neighbours, parse_graph6)
+from .graphs import Graph, bfs_layers, is_connected, neighbours, parse_graph6
 
 MINOR_MAX_VERTICES = 10
 
@@ -136,7 +136,7 @@ def classify_stream(
         for key in class_counts:
             class_counts[key] += census[key]
         if outerplanar:
-            record["outerplanar"] = is_outerplanar(g) if g.n <= MINOR_MAX_VERTICES else None
+            record["outerplanar"] = is_outerplanar(g)
         yield record
     summary = {"type": "summary", "graphs": graphs, "errors": errors, "skipped": skipped}
     summary.update(class_counts)
@@ -193,10 +193,112 @@ def has_minor(g: Graph, h: Graph) -> bool:
     return place(0, 0)
 
 
-def _k23() -> Graph:
-    return graph_from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+# ---------------------------------------------------------------------------
+# Outerplanarity in linear time: split into blocks, reduce each one.
+
+def _blocks(adjacency: Sequence[int]) -> Iterator[int]:
+    """Vertex bitsets of the blocks (biconnected components) with an edge.
+
+    One depth-first search (Hopcroft-Tarjan).  `order` numbers the vertices
+    as they are found and `low[v]` is the smallest number reachable from v's
+    subtree by one edge that leaves it.  When a child v of u cannot get above
+    u (low[v] >= order[u]), u separates v's subtree: the vertices found since
+    v, with u, are a block.  Isolated vertices lie in no block.
+    """
+    n = len(adjacency)
+    order = [-1] * n
+    low = [0] * n
+    found = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        pending = [root]                 # found, not yet assigned to a block
+        path = [[root, adjacency[root]]]  # DFS path: vertex, neighbours left to scan
+        while path:
+            v, left = path[-1]
+            if left:
+                w = (left & -left).bit_length() - 1
+                path[-1][1] = left & (left - 1)
+                if order[w] < 0:
+                    order[w] = low[w] = found
+                    found += 1
+                    pending.append(w)
+                    path.append([w, adjacency[w]])
+                else:
+                    low[v] = min(low[v], order[w])
+                continue
+            path.pop()
+            if not path:
+                break
+            u = path[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= order[u]:
+                block = 1 << u
+                while True:
+                    x = pending.pop()
+                    block |= 1 << x
+                    if x == v:
+                        break
+                yield block
+
+
+def _block_is_outerplanar(adjacency: Sequence[int], block: int) -> bool:
+    """Mitchell's degree-2 reduction of one block (S. L. Mitchell, IPL 9, 1979).
+
+    A biconnected outerplanar graph on k >= 3 vertices has m <= 2k - 3 and a
+    vertex v of degree 2.  Removing v and joining its neighbours u, w cuts
+    the triangle uvw off the polygon, and the remainder is again biconnected;
+    it is outerplanar, with uw on its outer cycle, exactly when the graph
+    was.  `sided` holds the edges that already bound a cut-off triangle.  An
+    edge may bound a second one only when it is all that is left: while
+    other vertices remain, two sides and the rest of the block give three
+    disjoint u-w paths, a K2,3 minor.  So no edge ever takes a third side.
+    """
+    nbrs = {v: adjacency[v] & block for v in _bits(block)}
+    k = len(nbrs)
+    if sum(b.bit_count() for b in nbrs.values()) // 2 > 2 * k - 3:
+        return False
+    sided: set[tuple[int, int]] = set()
+    degree_two = [v for v, b in nbrs.items() if b.bit_count() == 2]
+    while k > 2:
+        # Degrees never fall below 2 while k > 2, so a stale entry is one
+        # whose vertex is gone.
+        while degree_two and degree_two[-1] not in nbrs:
+            degree_two.pop()
+        if not degree_two:
+            return False
+        v = degree_two.pop()
+        u, w = _bits(nbrs.pop(v))
+        k -= 1
+        nbrs[u] &= ~(1 << v)
+        nbrs[w] &= ~(1 << v)
+        edge = (u, w)
+        if nbrs[u] >> w & 1:
+            if edge in sided and k > 2:
+                return False
+            degree_two.extend(x for x in edge if nbrs[x].bit_count() == 2)
+        else:
+            nbrs[u] |= 1 << w
+            nbrs[w] |= 1 << u
+        sided.add(edge)
+    return True
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices of a bitset, in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Outerplanarity via the forbidden minors: no K4 and no K23 minor."""
-    return not has_minor(g, complete_graph(4)) and not has_minor(g, _k23())
+    """Can g be drawn in the plane with every vertex on the outer face?
+
+    A graph is outerplanar exactly when each of its blocks is, so each block
+    is reduced on its own; the test takes linear time and has no vertex cap.
+    """
+    return all(_block_is_outerplanar(g.adjacency, block) for block in _blocks(g.adjacency))

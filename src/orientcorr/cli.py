@@ -20,7 +20,7 @@ from .errors import GraphFormatError, OverCapError
 from .graphs import Graph, Triple, parse_edge_list, parse_graph6
 from .enumeration import DEFAULT_CAP, count_events
 from . import closed_form, complete
-from .classify import MINOR_MAX_VERTICES, classify, classify_stream, is_outerplanar
+from .classify import classify, classify_stream, is_outerplanar
 from .montecarlo import mc_estimate
 
 SCHEMA_VERSION = "1"
@@ -34,14 +34,21 @@ EXIT_CHECK_FAILED = 5
 
 
 def _default_threads() -> int:
+    """The thread count from $ORIENTCORR_THREADS, or 1 when it is unset.
+
+    A value that is not a non-negative integer raises ValueError, which
+    main() reports as a usage error.
+    """
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         return 1
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return value if value >= 0 else 1
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
+    return value
 
 
 def _record(command: str, **fields) -> dict:
@@ -251,10 +258,6 @@ def cmd_classify(args) -> int:
                 _emit(args, record, _classify_record_human(rec))
         return EXIT_OK
     g = parse_graph6(args.graph6)
-    if args.outerplanar and g.n > MINOR_MAX_VERTICES:
-        print(f"classify: outerplanarity probe is capped at {MINOR_MAX_VERTICES} vertices",
-              file=sys.stderr)
-        return EXIT_OVER_CAP
     flags = classify(g, cap=args.cap, threads=args.threads,
                      allow_disconnected=args.allow_disconnected)
     record = _record("classify", graph6=args.graph6, n=g.n, m=g.m, **asdict(flags))
@@ -424,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "threads"):
-        args.threads = _default_threads()
     if not hasattr(args, "json"):
         args.json = False
     if not hasattr(args, "cap"):
         args.cap = DEFAULT_CAP
     try:
+        if not hasattr(args, "threads"):
+            args.threads = _default_threads()
         return args.func(args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,10 @@
-"""Sign censuses, the three classes, streaming, and minor containment."""
+"""Sign censuses, the three classes, streaming, minors and outerplanarity."""
+
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orientcorr import (
     Triple,
@@ -15,7 +19,6 @@ from orientcorr import (
     is_outerplanar,
     path_graph,
 )
-from orientcorr.classify import _k23
 from support import diamond, star
 
 # Frozen censuses (neg, zero, pos) over all ordered triples.
@@ -124,13 +127,18 @@ def test_stream_outerplanar_flag():
     ]
     records = list(classify_stream(lines, outerplanar=True))
     flags = [r["outerplanar"] for r in records if r["type"] == "graph"]
-    # The probe is capped at 10 vertices, hence None for the 11-path.
-    assert flags == [True, False, True, None]
+    # The probe has no vertex cap: the 11-path gets a verdict too.
+    assert flags == [True, False, True, True]
 
 
 def test_stream_without_flag_omits_field():
     records = list(classify_stream([emit_graph6(complete_graph(3))]))
     assert "outerplanar" not in records[0]
+
+
+def k2(t):
+    """K_{2,t}: vertices 0 and 1 joined to each of 2..t+1."""
+    return graph_from_edges(t + 2, [(u, v) for u in (0, 1) for v in range(2, t + 2)])
 
 
 PRISM = graph_from_edges(
@@ -148,7 +156,7 @@ def test_k4_minor_goldens():
 
 
 def test_k23_minor_goldens():
-    k23 = _k23()
+    k23 = k2(3)
     assert has_minor(k23, k23)
     assert has_minor(complete_graph(5), k23)
     assert not has_minor(diamond(), k23)
@@ -171,8 +179,95 @@ def test_outerplanar_all_four_vertex_graphs():
 
 
 def test_outerplanar_goldens():
-    assert not is_outerplanar(_k23())
+    assert not is_outerplanar(k2(3))
     assert not is_outerplanar(PRISM)
     chorded = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
     assert is_outerplanar(chorded)
     assert is_outerplanar(path_graph(7))
+
+
+def _glued(*blocks):
+    """Disjoint union of (n, edges) pieces, each sharing its vertex 0 with
+    the previous piece's last vertex, so every joint is a cut vertex."""
+    edges, base = [], 0
+    for n, piece in blocks:
+        edges += [(u + base, v + base) for u, v in piece]
+        base += n - 1
+    return graph_from_edges(base + 1, edges)
+
+
+TRIANGLE = (3, [(0, 1), (1, 2), (0, 2)])
+K23_EDGES = (5, k2(3).edges)
+DIAMOND_EDGES = (4, diamond().edges)
+# Pendant vertices 0 and 1 hang off the block {2, 3, 4, 5}, a diamond.  A
+# reduction run over the whole graph, not block by block, rejects it.
+PENDANTS_ON_DIAMOND = graph_from_edges(
+    7, [(0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 3..9 vertices: random edge sets (often disconnected), or
+    two random pieces glued at a cut vertex."""
+    def piece(n, max_edges):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=3, max_value=9))
+        return graph_from_edges(n, piece(n, 2 * n))
+    n1 = draw(st.integers(min_value=2, max_value=6))
+    n2 = draw(st.integers(min_value=2, max_value=10 - n1))
+    return _glued((n1, piece(n1, 2 * n1)), (n2, piece(n2, 2 * n2)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs())
+@example(PENDANTS_ON_DIAMOND)
+@example(_glued(TRIANGLE, TRIANGLE))                      # bowtie
+@example(_glued(K23_EDGES, TRIANGLE))                     # K2,3 at a degree-2 vertex
+@example(_glued(DIAMOND_EDGES, (5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3)])))
+def test_outerplanar_matches_forbidden_minors(g):
+    # The last example glues a diamond to a K2,3 at a degree-3 vertex: both
+    # blocks are K4-free and only the K2,3 is not outerplanar.
+    expected = not has_minor(g, complete_graph(4)) and not has_minor(g, k2(3))
+    assert is_outerplanar(g) == expected
+
+
+def _fan(n):
+    return graph_from_edges(n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
+
+
+def _wheel(n):
+    """Hub 0 joined to every vertex of the cycle 1..n-1."""
+    return graph_from_edges(n, [(0, v) for v in range(1, n)]
+                            + [(v, v % (n - 1) + 1) for v in range(1, n)])
+
+
+def _triangulated_polygon(n, rng):
+    """A random maximal outerplanar graph: cut random ears off a relabelled n-gon."""
+    polygon = rng.sample(range(n), n)
+    edges = {frozenset(pair) for pair in zip(polygon, polygon[1:] + polygon[:1])}
+    while len(polygon) > 3:
+        i = rng.randrange(len(polygon))
+        edges.add(frozenset((polygon[i - 1], polygon[(i + 1) % len(polygon)])))
+        del polygon[i]
+    return graph_from_edges(n, [tuple(e) for e in edges])
+
+
+def test_outerplanar_past_the_minor_search_cap():
+    # Every n up to the 62-vertex limit; the minor search stops at 10.
+    rng = random.Random(6)
+    for n in range(5, 63):
+        polygon = _triangulated_polygon(n, rng)
+        assert polygon.m == 2 * n - 3
+        for g in (cycle_graph(n), _fan(n), polygon):
+            assert is_outerplanar(g), (n, g.edges)
+        for g in (_wheel(n), k2(n - 2)):
+            assert not is_outerplanar(g), (n, g.edges)
+
+
+def test_stream_outerplanar_past_ten_vertices():
+    tree = graph_from_edges(12, [(v, v // 3) for v in range(1, 12)])
+    records = list(classify_stream([emit_graph6(tree)], outerplanar=True))
+    assert records[0]["outerplanar"] is True

@@ -104,19 +104,39 @@ def test_classify_disconnected_needs_flag(capsys):
 
 
 def test_outerplanar_probe_cap_exits_4(capsys):
+    # The probe has no vertex cap of its own: the 11-vertex path, once
+    # refused with exit 4, gets a verdict.  Exit 4 on an outerplanarity
+    # query now comes from the enumeration cap alone.
     g6 = emit_graph6(path_graph(11))
-    assert run_cli(capsys, ["classify", "--graph6", g6, "--outerplanar"])[0] == 4
+    code, out, err = run_cli(capsys, ["classify", "--graph6", g6, "--outerplanar"])
+    assert (code, err) == (0, "")
+    assert out.endswith("outerplanar: True\n")
+    code, out, err = run_cli(capsys, ["--cap", "3", "classify", "--graph6", K4_G6,
+                                      "--outerplanar"])
+    assert (code, out) == (4, "")
+    assert "enumeration cap" in err
 
 
 def test_outerplanar_probe_cap_is_checked_before_the_census(capsys, monkeypatch):
-    def census(*args, **kwargs):
-        raise AssertionError("the census ran on a graph over the probe's cap")
+    # The one cap left on `classify --outerplanar` is the census's own; a
+    # graph over it stops there, before any outerplanarity work.
+    def probe(*args, **kwargs):
+        raise AssertionError("the probe ran on a graph over the enumeration cap")
 
-    monkeypatch.setattr("orientcorr.cli.classify", census)
+    monkeypatch.setattr("orientcorr.cli.is_outerplanar", probe)
     g6 = emit_graph6(graph_from_edges(11, [(v, (v + 1) % 11) for v in range(11)]))
-    code, out, err = run_cli(capsys, ["classify", "--graph6", g6, "--outerplanar"])
+    code, out, err = run_cli(capsys, ["--cap", "10", "classify", "--graph6", g6,
+                                      "--outerplanar"])
     assert (code, out) == (4, "")
-    assert "capped at 10 vertices" in err
+    assert "enumeration cap of 10" in err
+
+
+def test_outerplanar_probe_runs_past_ten_vertices(capsys):
+    # JhCGGC@?G?_ is an 11-vertex tree, past the minor search's 10-vertex limit.
+    code, out, err = run_cli(capsys, ["classify", "--graph6", "JhCGGC@?G?_",
+                                      "--outerplanar"])
+    assert (code, err) == (0, "")
+    assert out.endswith("outerplanar: True\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -331,15 +351,23 @@ def test_global_flags_work_on_either_side(capsys):
     assert before == after
 
 
-def test_threads_env_default(monkeypatch):
+def test_threads_env_default(capsys, monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
     assert _default_threads() == 1
     monkeypatch.setenv(THREADS_ENV, "4")
     assert _default_threads() == 4
-    monkeypatch.setenv(THREADS_ENV, "garbage")
-    assert _default_threads() == 1
-    monkeypatch.setenv(THREADS_ENV, "-2")
-    assert _default_threads() == 1
+    monkeypatch.setenv(THREADS_ENV, "0")
+    assert _default_threads() == 0
+    for bad in ("garbage", "-2", ""):
+        monkeypatch.setenv(THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            _default_threads()
+        # A usage error with a message, not a traceback and not 1 thread.
+        code, out, err = run_cli(capsys, ["kn", "--n", "3"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {THREADS_ENV} must be a non-negative integer, got {bad!r}\n"
+    # --threads takes precedence, so the variable is not read.
+    assert run_cli(capsys, ["kn", "--n", "3", "--threads", "1"])[0] == 0
 
 
 def test_classify_stream_stdin(capsys, monkeypatch):
@@ -398,7 +426,10 @@ def test_consecutive_runs_are_identical(capsys, argv):
 # tests/data/cli_golden.json holds the stdout, stderr and exit code of each
 # case as the CLI printed them before its records were built from the result
 # dataclasses.  It pins the text and JSON output byte for byte, so it is
-# never regenerated from the code it checks.
+# never regenerated from the code it checks.  The two "classify outerplanar
+# over 10 vertices" cases were rewritten when the probe lost its 10-vertex
+# cap: the census lines of the uncapped command, as printed before, plus
+# the verdict of an independent outerplanarity search.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
