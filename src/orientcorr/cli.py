@@ -18,7 +18,7 @@ from dataclasses import asdict
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal
 from .errors import GraphFormatError, OverCapError
 from .graphs import Graph, Triple, parse_edge_list, parse_graph6
-from .enumeration import DEFAULT_CAP, count_events
+from .enumeration import DEFAULT_CAP, check_cap, count_events, resolve_threads
 from . import closed_form, complete
 from .classify import classify, classify_stream, is_outerplanar
 from .montecarlo import mc_estimate
@@ -434,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not hasattr(args, "threads"):
             args.threads = _default_threads()
+        # Checked here so that no subcommand ignores a bad global flag.
+        resolve_threads(args.threads)
+        check_cap(args.cap)
         return args.func(args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,17 @@ unreachable_prob(n, k) is the probability that, after orienting every edge
 of the complete graph on n vertices by a fair coin, none of k marked
 vertices has a directed path to a further marked target vertex.
 joint_unreachable_prob(n, k) additionally requires that the target has no
-path to yet another marked vertex.  Both satisfy recursions obtained by
-conditioning on the set of vertices the marked set beats directly, and both
-are dyadic rationals with denominator dividing 2^(C(n,2) - C(k,2)), so both
-are summed as integers over that power of two.
+path to yet another marked vertex.  Scaled by 2^C(n,2), the number of
+tournaments on n labelled vertices, both are tournament counts U_n and J_n.
+No edge leaves the set the k-set reaches, and the target and the third
+vertex lie outside it, so splitting by that set gives, with
+G = sum_m 2^C(m,2) x^m/m!, the identities U^(k) G = G^(k) G' and
+J^(k) G = G^(k) U^(1) of exponential generating functions:
+  U_n = sum_{i=k}^{n-1} C(n-k-1, i-k) 2^(C(i,2)+C(n-i,2))
+        - sum_{j=k+1}^{n-1} C(n-k-1, j-k-1) U_j 2^C(n-j,2),
+  J_n = sum_{i=k}^{n-2} C(n-k-2, i-k) 2^C(i,2) U^(1)_{n-i}
+        - sum_{j=k+2}^{n-1} C(n-k-2, j-k-2) J_j 2^C(n-j,2).
+Each state sums integers from smaller n and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -29,31 +36,17 @@ _C_MARGIN_1 = Fraction(32, 5)           # 6.4
 _C_MARGIN_2 = Fraction(256, 25)         # 10.24
 
 
-def _scaled(value: Fraction, exp: int) -> int:
-    """value * 2^exp for a value whose denominator divides 2^exp: a shifted numerator."""
-    return value.numerator << (exp + 1 - value.denominator.bit_length())
+def _pairs(m: int) -> int:
+    return m * (m - 1) // 2
 
 
-def _recursion_step(n: int, k: int, width: int, child) -> Fraction:
-    """One conditioning step of either recursion, summed in integers.
+def _scaled(value: Fraction, n: int) -> int:
+    """value * 2^C(n,2) for a value whose denominator divides 2^C(n,2): a shifted numerator."""
+    return value.numerator << (_pairs(n) + 1 - value.denominator.bit_length())
 
-    The k-set beats exactly i of the `width` candidate vertices directly,
-    each by at least one member ((2^k - 1)^i ways), and loses to the other
-    vertices of the r = n - k left; the rest is the same problem on r
-    vertices with an i-set.  So the value is
-    sum_i C(width, i) (2^k - 1)^i child(r, i) / 2^(k r).  Scaled by
-    2^(C(n,2) - C(k,2)) = 2^(C(r,2) + k r), term i is
-    C(width, i) (2^k - 1)^i child(r, i) 2^C(r,2), an integer.  The sum runs
-    by Horner's rule in 2^k - 1, a shift and a subtraction per term, and
-    one Fraction is built at the end.
-    """
-    r = n - k
-    child_exp = r * (r - 1) // 2
-    binom, total = 1, 0  # binom = C(width, i), carried down from i = width
-    for i in range(width, -1, -1):
-        total = (total << k) - total + binom * _scaled(child(r, i), child_exp)
-        binom = binom * i // (width - i + 1)
-    num, exp = _strip_twos(total, child_exp + k * r)
+
+def _unscaled(total: int, n: int) -> Fraction:
+    num, exp = _strip_twos(total, _pairs(n))
     return Fraction(num, 1 << exp)
 
 
@@ -66,19 +59,26 @@ def unreachable_prob(n: int, k: int) -> Fraction:
         return Fraction(1)
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
-    return _recursion_step(n, k, n - k - 1, unreachable_prob)
+    w = n - k - 1
+    total = sum(comb(w, i - k) << (_pairs(i) + _pairs(n - i)) for i in range(k, n))
+    total -= sum(comb(w, j - k - 1) * _scaled(unreachable_prob(j, k), j) << _pairs(n - j)
+                 for j in range(k + 1, n))
+    return _unscaled(total, n)
 
 
 @lru_cache(maxsize=None)
 def joint_unreachable_prob(n: int, k: int) -> Fraction:
     """P(k-set has no path to the target and the target none to a third vertex)."""
     if k == 0:
-        if n == 2:
-            return Fraction(1, 2)
         return unreachable_prob(n, 1)
     if n < k + 2:
         raise ValueError(f"need n >= k+2, got n={n}, k={k}")
-    return _recursion_step(n, k, n - k - 2, joint_unreachable_prob)
+    w = n - k - 2
+    total = sum(comb(w, i - k) * _scaled(unreachable_prob(n - i, 1), n - i) << _pairs(i)
+                for i in range(n - 2, k - 1, -1))
+    total -= sum(comb(w, j - k - 2) * _scaled(joint_unreachable_prob(j, k), j) << _pairs(n - j)
+                 for j in range(k + 2, n))
+    return _unscaled(total, n)
 
 
 def relative_covariance(n: int) -> Fraction:
@@ -117,17 +117,16 @@ class KnRow:
 def table_row(n: int) -> KnRow:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    exp = n * (n - 1) // 2
     single = unreachable_prob(n, 1)
     if n == 2:
-        return KnRow(n, DyadicProb.from_fraction(single), _scaled(single, exp), None, None, None)
+        return KnRow(n, DyadicProb.from_fraction(single), _scaled(single, n), None, None, None)
     joint = joint_unreachable_prob(n, 1)
     return KnRow(
         n=n,
         p_single=DyadicProb.from_fraction(single),
-        scaled_single=_scaled(single, exp),
+        scaled_single=_scaled(single, n),
         p_joint=DyadicProb.from_fraction(joint),
-        scaled_joint=_scaled(joint, exp),
+        scaled_joint=_scaled(joint, n),
         rel_cov=relative_covariance(n),
     )
 

@@ -99,6 +99,29 @@ def ref_joint_unreachable_prob(n: int, k: int) -> Fraction:
     return total
 
 
+def ref_out_set_counts(n_max: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Scaled single and joint no-path counts on K_n, n <= n_max, by out-sets.
+
+    Conditions on the set R that a reaches: no edge leaves R, s lies
+    outside it and beats all of R, so b lies outside it too, and what s
+    reaches outside R is the same problem on K_{n-|R|}.  With R_k the
+    tournaments on k vertices in which a reaches all, the single and joint
+    counts over 2^C(n,2) are S_n and J_n.
+    """
+    def tournaments(m):
+        return 2 ** comb(m, 2)
+
+    reach_all = [0, 1]
+    for k in range(2, n_max):
+        reach_all.append(tournaments(k) - sum(
+            comb(k - 1, j - 1) * reach_all[j] * tournaments(k - j) for j in range(1, k)))
+    single = {n: sum(comb(n - 2, k - 1) * reach_all[k] * tournaments(n - k) for k in range(1, n))
+              for n in range(2, n_max + 1)}
+    joint = {n: sum(comb(n - 3, k - 1) * reach_all[k] * single[n - k] for k in range(1, n - 1))
+             for n in range(3, n_max + 1)}
+    return single, joint
+
+
 def ref_double_binomial_sum(n: int) -> Fraction:
     total = 0
     top = n * n

@@ -144,21 +144,27 @@ def test_outerplanar_probe_runs_past_ten_vertices(capsys):
     (["mc", "--edges", "{edges}", "--a", "0", "--s", "2", "--b", "1",
       "--samples", "10", "--seed", "1"], 0),
     (["classify", "--stream", "{stream}"], 0),
-    # The cap is checked when the first record is drawn, with the file open.
+    # The cap is checked before any file is opened.
     (["classify", "--stream", "{stream}", "--cap", "63"], 2),
-], ids=["exact-edges", "mc-edges", "classify-stream", "classify-stream-error"])
+    # A malformed edge file fails while it is open.
+    (["exact", "--edges", "{bad_edges}", "--a", "0", "--s", "2", "--b", "1"], 3),
+], ids=["exact-edges", "mc-edges", "classify-stream", "classify-stream-error",
+        "exact-edges-error"])
 def test_input_files_are_closed(capsys, tmp_path, monkeypatch, argv, code):
     edges = tmp_path / "diamond.txt"
     edges.write_text(DIAMOND_EDGES)
     stream = tmp_path / "graphs.g6"
     stream.write_text(K4_G6 + "\n")
+    bad_edges = tmp_path / "bad.txt"
+    bad_edges.write_text("4\n0 2\n0 x\n")
     # A file freed while open warns from its destructor; as an error there,
     # the warning goes to sys.unraisablehook rather than to the caller.
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
-        got = run_cli(capsys, [a.format(edges=edges, stream=stream) for a in argv])[0]
+        got = run_cli(capsys, [a.format(edges=edges, stream=stream, bad_edges=bad_edges)
+                               for a in argv])[0]
         gc.collect()
     assert [str(u.exc_value) for u in unraisable] == []
     assert got == code
@@ -340,6 +346,28 @@ def test_cap_over_62_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "62" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kn", "--n", "3"],
+    ["table", "--max-n", "3"],
+    ["bounds", "--max-n", "3"],
+    ["cycle", "--n", "5", "--c", "1", "--d", "1"],
+    ["forest", "--graph6", "Bg", "--a", "0", "--s", "1", "--b", "2"],
+    ["exact", "--graph6", K4_G6, "--a", "0", "--s", "1", "--b", "2"],
+    ["mc", "--graph6", K4_G6, "--a", "0", "--s", "1", "--b", "2",
+     "--samples", "10", "--seed", "1"],
+    ["classify", "--graph6", K4_G6],
+], ids=lambda a: a[0])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threads", "-1", "error: thread count must be >= 0, got -1\n"),
+    ("--cap", "63", "error: enumeration cap 63 is over the maximum of 62: counts of a walk "
+                    "over more than 2^62 orientations overflow 64-bit integers\n"),
+], ids=["threads", "cap"])
+def test_bad_global_flags_exit_2_on_every_subcommand(capsys, argv, flag, value, message):
+    # Subcommands that never walk or spawn threads still reject the flags.
+    for where in ([flag, value] + argv, argv + [flag, value]):
+        assert run_cli(capsys, where) == (2, "", message)
 
 
 # ---------------------------------------------------------------------------

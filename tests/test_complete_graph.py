@@ -1,5 +1,6 @@
 """Complete-graph recursions, the scaled table, and the analytic bounds."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from orientcorr import (
 from support import (
     ref_double_binomial_sum,
     ref_joint_unreachable_prob,
+    ref_out_set_counts,
     ref_triple_binomial_sum,
     ref_unreachable_prob,
 )
@@ -99,6 +101,49 @@ def test_recursions_match_fraction_reference():
             assert unreachable_prob(n, k) == ref_unreachable_prob(n, k), (n, k)
         for k in range(n - 1):
             assert joint_unreachable_prob(n, k) == ref_joint_unreachable_prob(n, k), (n, k)
+
+
+def test_table_rows_match_out_set_recursion():
+    # A second oracle, carried to large n: it sums over a's reach set with
+    # an explicit count of the tournaments in which a reaches everything,
+    # which the library's recursions never form.
+    single, joint = ref_out_set_counts(120)
+    for n in range(2, 121):
+        row = table_row(n)
+        assert row.scaled_single == single[n], n
+        assert row.scaled_joint == joint.get(n), n
+
+
+def _recursion_depth():
+    """The depth the interpreter counts here: the lowest recursion limit it accepts."""
+    limit = sys.getrecursionlimit()
+    low, high = 1, limit
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            sys.setrecursionlimit(mid)
+            high = mid
+        except RecursionError:
+            low = mid + 1
+    sys.setrecursionlimit(limit)
+    return low
+
+
+def test_cold_row_keeps_few_states_and_a_flat_stack():
+    # Each state reads only smaller n of the same two caches, visited from
+    # the bottom up, so a cold row needs O(n) states and a stack of fixed
+    # depth.
+    unreachable_prob.cache_clear()
+    joint_unreachable_prob.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 30)
+    try:
+        row = table_row(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row.rel_cov is not None
+    states = unreachable_prob.cache_info().currsize + joint_unreachable_prob.cache_info().currsize
+    assert states <= 2 * 150
 
 
 def test_auxiliary_sums_match_triple_loop_reference():
