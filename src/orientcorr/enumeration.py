@@ -9,9 +9,10 @@ The batch kernel evaluates many orientation words at once.  For a batch of
 B words it builds per-vertex out-neighbour bitsets of shape (n, B), one
 uint64 lane per word, and closes reachability by frontier expansion: each
 step ORs in masks[v] on the lanes whose frontier holds v, so a step costs
-O(n) word operations per orientation.  One batch loop, run_batches, feeds
-it words (a contiguous range here, sampled bits in montecarlo) span by span
-and sums the per-batch reductions.
+O(n) word operations per orientation.  One batch loop, run_batches, cuts
+the index range into power-of-two batches, feeds each its words (a
+contiguous range here, sampled bits in montecarlo), shares the batches among
+the threads and sums the per-batch reductions.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ DEFAULT_CAP = 30
 # The kernel sums counts in int64, which holds a count of 2^62 words but
 # not of 2^63.
 MAX_CAP = 62
-SPAN_BITS = 16
 # Bytes of (n, B) uint64 arrays one batch may hold at once.
 _BATCH_BYTES = 1 << 22
 _ONE = np.uint64(1)
@@ -87,19 +87,16 @@ def reachable(g: Graph, orientation: int, source: int, target: int) -> bool:
 # ---------------------------------------------------------------------------
 # Bitset batch kernel.
 
-def batch_masks(g: Graph, words: np.ndarray, reverse: bool = False) -> np.ndarray:
+def batch_masks(g: Graph, words: np.ndarray) -> np.ndarray:
     """Out-neighbour bitsets of every vertex, shape (n, B), for B words.
 
-    words has shape (B,) or (B, W); edge i takes bit i % 64 of column i // 64.
-    With reverse, the bitsets hold in-neighbours instead.
+    words has shape (B, W); edge i takes bit i % 64 of column i // 64.
+    The complemented words ~words reverse every edge, so they give the
+    in-neighbour bitsets.
     """
-    if words.ndim == 1:
-        words = words[:, None]
     masks = np.zeros((g.n, words.shape[0]), dtype=np.uint64)
     for i, (u, v) in enumerate(g.edges):
         fwd = words[:, i // 64] >> np.uint64(i % 64) & _ONE
-        if reverse:
-            u, v = v, u
         masks[u] |= fwd << np.uint64(v)
         masks[v] |= (fwd ^ _ONE) << np.uint64(u)
     return masks
@@ -123,9 +120,11 @@ def batch_reach(masks: np.ndarray, source: int) -> np.ndarray:
 
 
 def _batch_size(n: int, planes: int) -> int:
-    # `planes` (n, B) uint64 arrays within the budget.  At most 2^16 words,
-    # so per-batch float32 counts in sweep_source stay exact.
-    return min(1 << 16, max(1 << 10, _BATCH_BYTES // (8 * n * planes)))
+    # The largest power of two of words whose `planes` (n, B) uint64 arrays
+    # fit the budget, so every arange batch is an aligned block.  At most
+    # 2^16 words, so per-batch float32 counts in sweep_source stay exact.
+    fit = _BATCH_BYTES // (8 * n * planes)
+    return min(1 << 16, max(1 << 10, 1 << fit.bit_length() - 1))
 
 
 def triple_counts(g: Graph, t: Triple, words: np.ndarray) -> np.ndarray:
@@ -145,7 +144,7 @@ def _vertex_bits(sets: np.ndarray, n: int) -> np.ndarray:
 
 def _sweep_joint(g: Graph, s: int, words: np.ndarray) -> np.ndarray:
     """(n, n) counts of words with a -> s and s -> b, over one batch."""
-    into = _vertex_bits(batch_reach(batch_masks(g, words, reverse=True), s), g.n)
+    into = _vertex_bits(batch_reach(batch_masks(g, ~words), s), g.n)
     outof = _vertex_bits(batch_reach(batch_masks(g, words), s), g.n)
     # Exact in float32: every entry is at most the batch size, 2^16 < 2^24.
     return (into.T @ outof).astype(np.int64)
@@ -154,49 +153,42 @@ def _sweep_joint(g: Graph, s: int, words: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The batch loop shared by every exhaustive walk and by Monte Carlo.
 
-def spans(start: int, stop: int, chunk: int) -> list[tuple[int, int]]:
-    """Split [start, stop) into near-equal spans of at most `chunk` indices."""
-    count = -(-(stop - start) // chunk)
-    size = -(-(stop - start) // count)
-    return [(lo, min(stop, lo + size)) for lo in range(start, stop, size)]
-
-
 def run_batches(
     g: Graph,
-    start: int,
-    stop: int,
+    count: int,
     words: Callable[[int, int], np.ndarray],
     reduce: Callable[[np.ndarray], np.ndarray],
     *,
     threads: int = 1,
     planes: int = 1,
 ) -> np.ndarray:
-    """Sum reduce(words(lo, hi)) over batches covering [start, stop).
+    """Sum reduce(words(lo, hi)) over batches covering [0, count).
 
     words(lo, hi) returns the orientation words of indices lo..hi-1 and
-    reduce maps them to an int64 count array.  The range is cut into spans
-    of at most 2^SPAN_BITS indices, shared among `threads` threads, and
-    each span into batches sized for `planes` (n, B) uint64 arrays.
+    reduce maps them to an int64 count array.  The range is cut into
+    batches sized for `planes` (n, B) uint64 arrays, shared among `threads`
+    threads.
     """
     step = _batch_size(g.n, planes)
 
-    def run_span(span: tuple[int, int]) -> np.ndarray:
-        lo, hi = span
-        return sum(reduce(words(b, min(hi, b + step))) for b in range(lo, hi, step))
+    def run(lo: int) -> np.ndarray:
+        return reduce(words(lo, min(count, lo + step)))
 
-    parts = spans(start, stop, 1 << SPAN_BITS)
-    threads = min(resolve_threads(threads), len(parts))
+    starts = range(0, count, step)
+    threads = min(resolve_threads(threads), len(starts))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(run_span, parts))
-    return sum(map(run_span, parts))
+            return sum(pool.map(run, starts))
+    return sum(map(run, starts))
 
 
 def _arange_words(lo: int, hi: int) -> np.ndarray:
-    return np.arange(lo, hi, dtype=np.uint64)
+    return np.arange(lo, hi, dtype=np.uint64)[:, None]
 
 
 def check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be >= 0, got {cap}")
     if cap > MAX_CAP:
         raise ValueError(f"enumeration cap {cap} is over the maximum of {MAX_CAP}: "
                          f"counts of a walk over more than 2^{MAX_CAP} orientations "
@@ -223,7 +215,7 @@ def count_events(
     """Count, over all orientations, how often a->s, s->b, and both hold."""
     t.validate(g)
     total = _walk_size(g, cap)
-    n_c, n_d, n_cd = run_batches(g, 0, total, _arange_words, partial(triple_counts, g, t),
+    n_c, n_d, n_cd = run_batches(g, total, _arange_words, partial(triple_counts, g, t),
                                  threads=threads).tolist()
     return OrientationCounts(m=g.m, n_c=n_c, n_d=n_d, n_cd=n_cd)
 
@@ -250,7 +242,7 @@ def sweep_source(
     include s itself reaching s; callers exclude s when forming triples.
     """
     total = _walk_size(g, cap)
-    joint = run_batches(g, 0, total, _arange_words, partial(_sweep_joint, g, s),
+    joint = run_batches(g, total, _arange_words, partial(_sweep_joint, g, s),
                         threads=threads, planes=3).tolist()
     # s reaches itself in every orientation, so column s of the joint counts
     # is the into count and row s the from count.

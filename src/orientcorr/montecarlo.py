@@ -83,14 +83,6 @@ def _sample_words(seed: int, nwords: int, lo: int, hi: int) -> np.ndarray:
     return _mix64_batch(seed, counters + np.arange(nwords, dtype=np.uint64))
 
 
-def _sample_range(g: Graph, t: Triple, seed: int, start: int, stop: int,
-                  threads: int = 1) -> tuple[int, int, int]:
-    """(count_c, count_d, count_cd) over samples start..stop-1."""
-    counts = run_batches(g, start, stop, partial(_sample_words, seed, (g.m + 63) // 64),
-                         partial(triple_counts, g, t), threads=threads)
-    return tuple(counts.tolist())
-
-
 def delta_method_se(count_c: int, count_d: int, count_cd: int, samples: int) -> float:
     q11 = count_cd / samples
     q10 = (count_c - count_cd) / samples
@@ -109,7 +101,8 @@ def mc_estimate(g: Graph, t: Triple, samples: int, seed: int, *, threads: int = 
     t.validate(g)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    n_c, n_d, n_cd = _sample_range(g, t, seed, 0, samples, threads)
+    n_c, n_d, n_cd = run_batches(g, samples, partial(_sample_words, seed, (g.m + 63) // 64),
+                                 partial(triple_counts, g, t), threads=threads).tolist()
     return McEstimate(
         samples=samples,
         seed=seed,

@@ -363,7 +363,8 @@ def test_cap_over_62_exits_2(capsys, tmp_path):
     ("--threads", "-1", "error: thread count must be >= 0, got -1\n"),
     ("--cap", "63", "error: enumeration cap 63 is over the maximum of 62: counts of a walk "
                     "over more than 2^62 orientations overflow 64-bit integers\n"),
-], ids=["threads", "cap"])
+    ("--cap", "-1", "error: enumeration cap must be >= 0, got -1\n"),
+], ids=["threads", "cap", "negative-cap"])
 def test_bad_global_flags_exit_2_on_every_subcommand(capsys, argv, flag, value, message):
     # Subcommands that never walk or spawn threads still reject the flags.
     for where in ([flag, value] + argv, argv + [flag, value]):

@@ -23,8 +23,8 @@ from orientcorr import (
 )
 from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
-from orientcorr.enumeration import SPAN_BITS, _out_adjacency, batch_masks, spans
-from orientcorr.montecarlo import _sample_range, _sample_words
+from orientcorr.enumeration import _batch_size, _out_adjacency, batch_masks, triple_counts
+from orientcorr.montecarlo import _sample_words
 from support import diamond, random_graph, star
 
 
@@ -223,24 +223,29 @@ def test_sample_range_replays_through_scalar_mix64(seed, start, count, order):
     # K12 has 66 edges: two 64-bit words per sample, edge i on bit i % 64
     # of word i // 64.  Nearly every orientation of K12 has both paths, so
     # the counts alone would not see a misplaced bit: the kernel's
-    # out-neighbour bitsets are compared with the replayed orientation too.
+    # out- and in-neighbour bitsets are compared with the replayed
+    # orientation too.
     g = complete_graph(12)
     t = Triple(*order[:3])
     orientations = [mix64(seed, 2 * j) | mix64(seed, 2 * j + 1) << 64
                     for j in range(start, start + count)]
     into, outof, joint = _oracle_sweep(g, t.s, orientations)
-    expect = (into[t.a], outof[t.b], joint[t.a][t.b])
-    assert _sample_range(g, t, seed, start, start + count) == expect
-    masks = batch_masks(g, _sample_words(seed, 2, start, start + count))
-    assert masks.T.tolist() == [_out_adjacency(g, word) for word in orientations]
+    expect = [into[t.a], outof[t.b], joint[t.a][t.b]]
+    words = _sample_words(seed, 2, start, start + count)
+    assert triple_counts(g, t, words).tolist() == expect
+    out_adj = [_out_adjacency(g, word) for word in orientations]
+    assert batch_masks(g, words).T.tolist() == out_adj
+    in_adj = [[sum(1 << u for u in range(g.n) if out[u] >> v & 1) for v in range(g.n)]
+              for out in out_adj]
+    assert batch_masks(g, ~words).T.tolist() == in_adj
 
 
 def test_every_chunking_and_thread_count_agrees(monkeypatch):
     g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     t = Triple(0, 3, 5)
     reference = count_events(g, t, threads=1)
-    for span_bits in (0, 2, 5, 7, 16):
-        monkeypatch.setattr(enumeration, "SPAN_BITS", span_bits)
+    for size in (1, 3, 32, 100, 1 << 16):
+        monkeypatch.setattr(enumeration, "_batch_size", lambda n, planes, size=size: size)
         for threads in (1, 2, 3, 8):
             assert count_events(g, t, threads=threads) == reference
 
@@ -265,12 +270,12 @@ def test_sweep_source_over_cap():
 
 
 def test_sweep_source_threads_are_used_and_agree(monkeypatch):
-    # m = 17 gives two spans of 2^16 words, so a thread count above 1 runs
-    # them on a pool of that many workers, capped at the span count.
+    # m = 17 gives 8 batches of 2^14 words at n = 7, so a thread count
+    # above 1 runs them on a pool of that many workers.
     g = graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
                              if (u, v) not in {(0, 1), (2, 3), (4, 5), (0, 6)}])
     assert g.m == 17
-    assert len(spans(0, 1 << g.m, 1 << SPAN_BITS)) == 2
+    assert (1 << g.m) // _batch_size(g.n, 3) == 8
     pools = []
 
     class RecordingPool(enumeration.ThreadPoolExecutor):
@@ -283,7 +288,7 @@ def test_sweep_source_threads_are_used_and_agree(monkeypatch):
         reference = sweep_source(g, s, threads=1)
         for k in (2, 3):
             assert sweep_source(g, s, threads=k) == reference
-    assert pools == [2, 2] * 3
+    assert pools == [2, 3] * 3
     assert classify(g, threads=4) == classify(g, threads=1)
 
 
@@ -293,4 +298,18 @@ def test_cap_over_62_is_rejected_up_front():
         count_events(path_graph(3), Triple(0, 1, 2), cap=63)
     with pytest.raises(ValueError, match="62"):
         sweep_source(path_graph(3), 1, cap=63)
+    # A negative cap is invalid too, not a cap that every graph is over.
+    with pytest.raises(ValueError, match=">= 0, got -1"):
+        count_events(path_graph(3), Triple(0, 1, 2), cap=-1)
+    with pytest.raises(ValueError, match=">= 0, got -1"):
+        sweep_source(path_graph(3), 1, cap=-1)
     assert count_events(path_graph(3), Triple(0, 1, 2), cap=62).n_cd == 1
+
+
+def test_batch_size_is_an_aligned_power_of_two():
+    # Arange batches then start on multiples of their own size.
+    for n in range(1, 63):
+        for planes in (1, 3):
+            size = _batch_size(n, planes)
+            assert size & (size - 1) == 0
+            assert 1 << 10 <= size <= 1 << 16

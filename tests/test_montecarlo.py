@@ -18,6 +18,7 @@ from orientcorr import (
     mix64,
     reachable,
 )
+from orientcorr import enumeration
 from orientcorr.montecarlo import _mix64_batch
 from support import diamond
 
@@ -77,10 +78,13 @@ def test_multi_word_bit_alignment():
     assert (est.count_c, est.count_d, est.count_cd) == (expect_c, expect_d, expect_cd)
 
 
-def test_thread_split_is_invisible():
+def test_thread_split_is_invisible(monkeypatch):
+    # Batches of 97 samples give 104 batches, so every thread count starts
+    # a pool; the reference is the default single batch on one thread.
     g = diamond()
     t = Triple(0, 2, 1)
     base = mc_estimate(g, t, 10_001, 5, threads=1)
+    monkeypatch.setattr(enumeration, "_batch_size", lambda n, planes: 97)
     for threads in (2, 4, 8):
         again = mc_estimate(g, t, 10_001, 5, threads=threads)
         assert again == base
