@@ -29,6 +29,7 @@ from .enumeration import (
     exact_correlation,
     reachable,
     sweep_source,
+    sweep_sources,
 )
 from .complete import (
     BoundRow,
@@ -69,5 +70,5 @@ __all__ = [
     "is_outerplanar", "joint_unreachable_prob", "mc_estimate", "mix64",
     "parse_dyadic", "parse_edge_list", "parse_graph6", "path_graph",
     "reachable", "relative_covariance", "sign_margin", "sweep_source",
-    "table_row", "triple_binomial_sum", "unreachable_prob",
+    "sweep_sources", "table_row", "triple_binomial_sum", "unreachable_prob",
 ]

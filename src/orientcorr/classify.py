@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .enumeration import DEFAULT_CAP, check_cap, sweep_source
+from .enumeration import DEFAULT_CAP, check_cap, sweep_sources
 from .errors import GraphFormatError, OverCapError
 from .graphs import Graph, bfs_layers, is_connected, neighbours, parse_graph6
 
@@ -60,15 +60,18 @@ def classify(
         raise ValueError("graph is disconnected; pass allow_disconnected to census it anyway")
     neg = zero = pos = 0
     total = 1 << g.m
-    for s in range(g.n):
-        into, outof, joint = sweep_source(g, s, cap=cap, threads=threads)
+    # One walk gives every middle vertex.  The signs are taken in Python
+    # integers: joint * 2^m reaches 2^(2m), past int64 above m = 31.
+    for s, joint in enumerate(sweep_sources(g, cap=cap, threads=threads)):
+        outof = joint[s]
         for a in range(g.n):
             if a == s:
                 continue
+            into = joint[a][s]
             for b in range(g.n):
                 if b == s or b == a:
                     continue
-                diff = joint[a][b] * total - into[a] * outof[b]
+                diff = joint[a][b] * total - into * outof[b]
                 if diff < 0:
                     neg += 1
                 elif diff > 0:

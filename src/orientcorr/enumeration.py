@@ -7,12 +7,21 @@ same numbers as a single pass regardless of how the range is split.
 
 The batch kernel evaluates many orientation words at once.  For a batch of
 B words it builds per-vertex out-neighbour bitsets of shape (n, B), one
-uint64 lane per word, and closes reachability by frontier expansion: each
-step ORs in masks[v] on the lanes whose frontier holds v, so a step costs
-O(n) word operations per orientation.  One batch loop, run_batches, cuts
-the index range into power-of-two batches, feeds each its words (a
-contiguous range here, sampled bits in montecarlo), shares the batches among
-the threads and sums the per-batch reductions.
+uint64 lane per word (batch_masks), and closes reachability in one of two
+ways, for two kinds of traffic:
+
+* from one source, by frontier expansion (batch_reach): each step ORs in
+  masks[v] on the lanes whose frontier holds v, O(n) word operations per
+  orientation.  count_events (`exact`) and montecarlo (`mc`) need two
+  sources per triple.
+* from every vertex at once, by bitset Warshall on the whole (n, B) array
+  (_close_all), n vectorised steps.  sweep_sources (`classify`) reads the
+  counts of every triple (a, s, b) from it, one float32 matmul per s.
+
+One batch loop, run_batches, cuts the index range into power-of-two
+batches, feeds each its words (a contiguous range here, sampled bits in
+montecarlo), shares the batches among the threads and sums the per-batch
+reductions.
 """
 
 from __future__ import annotations
@@ -122,7 +131,7 @@ def batch_reach(masks: np.ndarray, source: int) -> np.ndarray:
 def _batch_size(n: int, planes: int) -> int:
     # The largest power of two of words whose `planes` (n, B) uint64 arrays
     # fit the budget, so every arange batch is an aligned block.  At most
-    # 2^16 words, so per-batch float32 counts in sweep_source stay exact.
+    # 2^16 words, so per-batch float32 counts in sweep_sources stay exact.
     fit = _BATCH_BYTES // (8 * n * planes)
     return min(1 << 16, max(1 << 10, 1 << fit.bit_length() - 1))
 
@@ -136,18 +145,43 @@ def triple_counts(g: Graph, t: Triple, words: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
+def _close_all(reach: np.ndarray) -> np.ndarray:
+    """Close (n, B) out-neighbour bitsets in place into reach bitsets.
+
+    Bitset Warshall: step k ORs reach[k] into the lanes of every row that
+    reaches k, so after it each row holds what its vertex reaches through
+    vertices 0..k.  Every vertex reaches itself.
+    """
+    n = reach.shape[0]
+    reach |= _ONE << np.arange(n, dtype=np.uint64)[:, None]
+    scratch = np.empty_like(reach)
+    for k in range(n):
+        np.right_shift(reach, np.uint64(k), out=scratch)
+        scratch &= _ONE
+        scratch *= reach[k]
+        reach |= scratch
+    return reach
+
+
 def _vertex_bits(sets: np.ndarray, n: int) -> np.ndarray:
-    """(B,) uint64 vertex bitsets as a (B, n) float32 0/1 matrix."""
-    octets = sets.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, count=n, bitorder="little").astype(np.float32)
+    """uint64 vertex bitsets as 0/1 uint8, with a last axis of n vertices."""
+    vertices = np.arange(n)
+    octets = sets.astype("<u8", copy=False).view(np.uint8).reshape(*sets.shape, 8)
+    bits = octets[..., vertices >> 3]
+    bits >>= (vertices & 7).astype(np.uint8)
+    bits &= 1
+    return bits
 
 
-def _sweep_joint(g: Graph, s: int, words: np.ndarray) -> np.ndarray:
-    """(n, n) counts of words with a -> s and s -> b, over one batch."""
-    into = _vertex_bits(batch_reach(batch_masks(g, ~words), s), g.n)
-    outof = _vertex_bits(batch_reach(batch_masks(g, words), s), g.n)
-    # Exact in float32: every entry is at most the batch size, 2^16 < 2^24.
-    return (into.T @ outof).astype(np.int64)
+def _sweep_all(g: Graph, words: np.ndarray) -> np.ndarray:
+    """(n, n, n) counts [s][a][b] of words with a -> s and s -> b, over one batch."""
+    # bits[v, w, x] = 1 when v reaches x in word w.
+    bits = _vertex_bits(_close_all(batch_masks(g, words)), g.n)
+    joint = np.empty((g.n,) * 3, dtype=np.int64)
+    for s in range(g.n):
+        # Exact in float32: every entry is at most the batch size, 2^16 < 2^24.
+        joint[s] = bits[:, :, s].astype(np.float32) @ bits[s].astype(np.float32)
+    return joint
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +260,24 @@ def exact_correlation(g: Graph, t: Triple, **kwargs) -> TripleCorrelation:
     return TripleCorrelation.from_scaled(counts.n_c, counts.n_d, counts.n_cd, counts.m)
 
 
+def sweep_sources(
+    g: Graph,
+    *,
+    cap: int = DEFAULT_CAP,
+    threads: int = 1,
+) -> list[list[list[int]]]:
+    """Joint counts for every middle vertex s and ordered pair (a, b), in one walk.
+
+    joint[s][a][b] counts orientations with both a -> s and s -> b.  Every
+    vertex reaches itself, so joint[s][a][s] counts a -> s and joint[s][s][b]
+    counts s -> b; callers exclude s when forming triples.
+    """
+    total = _walk_size(g, cap)
+    # The closure holds two (n, B) uint64 planes, and its bits n/8 more.
+    return run_batches(g, total, _arange_words, partial(_sweep_all, g),
+                       threads=threads, planes=2 + (g.n + 7) // 8).tolist()
+
+
 def sweep_source(
     g: Graph,
     s: int,
@@ -235,15 +287,12 @@ def sweep_source(
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Joint counts for every ordered pair around one middle vertex s.
 
-    One pass over all orientations yields, for each orientation, the set of
-    vertices with a path into s and the set reachable from s.  Returns
-    (into_counts, from_counts, joint) where joint[a][b] counts orientations
-    with both a -> s and s -> b.  into_counts[s] and joint rows/columns at s
-    include s itself reaching s; callers exclude s when forming triples.
+    Returns (into_counts, from_counts, joint) where joint[a][b] counts
+    orientations with both a -> s and s -> b: sweep_sources(g)[s] with its
+    column s and row s.  into_counts[s] and joint rows/columns at s include
+    s itself reaching s; callers exclude s when forming triples.
     """
-    total = _walk_size(g, cap)
-    joint = run_batches(g, total, _arange_words, partial(_sweep_joint, g, s),
-                        threads=threads, planes=3).tolist()
-    # s reaches itself in every orientation, so column s of the joint counts
-    # is the into count and row s the from count.
+    if not 0 <= s < g.n:
+        raise ValueError(f"vertex {s} out of range for n={g.n}")
+    joint = sweep_sources(g, cap=cap, threads=threads)[s]
     return [row[s] for row in joint], list(joint[s]), joint

@@ -16,10 +16,11 @@ from orientcorr import (
     exact_correlation,
     graph_from_edges,
     has_minor,
+    is_connected,
     is_outerplanar,
     path_graph,
 )
-from support import diamond, star
+from support import diamond, random_graph, star
 
 # Frozen censuses (neg, zero, pos) over all ordered triples.
 CENSUS = {
@@ -56,8 +57,32 @@ def test_class_flags_follow_census():
     assert (dia.class_i, dia.class_ii, dia.class_iii) == (False, True, False)
 
 
-@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(4), diamond()])
+def _seeded_census_graphs():
+    rng = random.Random(13)
+    # n = 5, 6 and 7; the n = 7 graph has m = 15, so its walk spans two
+    # batches of 2^14 words.
+    graphs = [random_graph(rng, n, p) for n, p in ((5, 0.6), (6, 0.6), (7, 0.75))]
+    # Two seeded parts side by side, on vertices 0..3 and 4..6.
+    left, right = random_graph(rng, 4, 0.7), random_graph(rng, 3, 0.9)
+    graphs.append(graph_from_edges(7, list(left.edges)
+                                   + [(u + 4, v + 4) for u, v in right.edges]))
+    return graphs
+
+
+CENSUS_ORACLE_GRAPHS = [complete_graph(4), cycle_graph(4), diamond()] + _seeded_census_graphs()
+
+
+def test_seeded_census_graphs_cover_batches_and_parts():
+    *_, dense, two_parts = CENSUS_ORACLE_GRAPHS
+    assert (dense.n, dense.m) == (7, 15)
+    assert not is_connected(two_parts)
+    assert {u < 4 for u, _ in two_parts.edges} == {True, False}  # both parts have edges
+
+
+@pytest.mark.parametrize("g", CENSUS_ORACLE_GRAPHS)
 def test_census_matches_per_triple_signs(g):
+    # The per-triple walks close reach by frontier expansion from one
+    # source, so they do not share the census's all-sources closure.
     neg = zero = pos = 0
     for a in range(g.n):
         for s in range(g.n):
@@ -68,8 +93,9 @@ def test_census_matches_per_triple_signs(g):
                 neg += sign < 0
                 zero += sign == 0
                 pos += sign > 0
-    flags = classify(g)
+    flags = classify(g, allow_disconnected=True)
     assert (flags.neg_triples, flags.zero_triples, flags.pos_triples) == (neg, zero, pos)
+    assert flags.disconnected == (not is_connected(g))
 
 
 def test_thread_count_does_not_change_census():

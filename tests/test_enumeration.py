@@ -20,10 +20,12 @@ from orientcorr import (
     path_graph,
     reachable,
     sweep_source,
+    sweep_sources,
 )
 from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
-from orientcorr.enumeration import _batch_size, _out_adjacency, batch_masks, triple_counts
+from orientcorr.enumeration import (
+    _batch_size, _out_adjacency, _reach_set, batch_masks, triple_counts)
 from orientcorr.montecarlo import _sample_words
 from support import diamond, random_graph, star
 
@@ -150,20 +152,38 @@ def test_joint_bounded_by_marginals():
 # ---------------------------------------------------------------------------
 # The batch kernel against the one-word pure-Python oracle `reachable`.
 
-def _oracle_sweep(g, s, orientations):
-    """(into, from, joint) counts around s by one reachable() call per event."""
-    into, outof = [0] * g.n, [0] * g.n
-    joint = [[0] * g.n for _ in range(g.n)]
+def _oracle_sweeps(g, orientations):
+    """joint[s][a][b] counts of a -> s and s -> b, from the one-word reach sets.
+
+    Each word's reach sets come from `_reach_set`, the pure-Python walk
+    behind `reachable`; the loops run over set bits only, so the sparse
+    n = 62 graphs stay cheap.
+    """
+    joint = [[[0] * g.n for _ in range(g.n)] for _ in range(g.n)]
     for word in orientations:
-        ins = [v for v in range(g.n) if reachable(g, word, v, s)]
-        outs = [v for v in range(g.n) if reachable(g, word, s, v)]
-        for a in ins:
-            into[a] += 1
-            for b in outs:
-                joint[a][b] += 1
-        for b in outs:
-            outof[b] += 1
-    return into, outof, joint
+        out_adj = _out_adjacency(g, word)
+        reach = [_reach_set(out_adj, v) for v in range(g.n)]
+        into = [[] for _ in range(g.n)]
+        for a, seen in enumerate(reach):
+            for s in _bits(seen):
+                into[s].append(a)
+        for s, outs in enumerate(reach):
+            for a in into[s]:
+                for b in _bits(outs):
+                    joint[s][a][b] += 1
+    return joint
+
+
+def _bits(x):
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
+
+
+def _oracle_sweep(g, s, orientations):
+    """(into, from, joint) counts around s, as sweep_source returns them."""
+    joint = _oracle_sweeps(g, orientations)[s]
+    return [row[s] for row in joint], joint[s], joint
 
 
 def _check_against_oracle(g, t):
@@ -172,6 +192,7 @@ def _check_against_oracle(g, t):
     counts = count_events(g, t)
     assert (counts.n_c, counts.n_d, counts.n_cd) == (into[t.a], outof[t.b], joint[t.a][t.b])
     assert sweep_source(g, t.s) == (into, outof, joint)
+    assert sweep_sources(g) == _oracle_sweeps(g, words)
 
 
 @st.composite
@@ -244,10 +265,12 @@ def test_every_chunking_and_thread_count_agrees(monkeypatch):
     g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     t = Triple(0, 3, 5)
     reference = count_events(g, t, threads=1)
+    joints = sweep_sources(g, threads=1)
     for size in (1, 3, 32, 100, 1 << 16):
         monkeypatch.setattr(enumeration, "_batch_size", lambda n, planes, size=size: size)
         for threads in (1, 2, 3, 8):
             assert count_events(g, t, threads=threads) == reference
+            assert sweep_sources(g, threads=threads) == joints
 
 
 def test_sweep_source_matches_per_triple_counts():
@@ -269,9 +292,15 @@ def test_sweep_source_over_cap():
         sweep_source(complete_graph(5), 0, cap=8)
 
 
-def test_sweep_source_threads_are_used_and_agree(monkeypatch):
+def test_sweep_source_rejects_a_vertex_out_of_range():
+    for s in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            sweep_source(path_graph(3), s)
+
+
+def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
     # m = 17 gives 8 batches of 2^14 words at n = 7, so a thread count
-    # above 1 runs them on a pool of that many workers.
+    # above 1 runs them on a pool of that many workers, one pool per walk.
     g = graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
                              if (u, v) not in {(0, 1), (2, 3), (4, 5), (0, 6)}])
     assert g.m == 17
@@ -284,11 +313,10 @@ def test_sweep_source_threads_are_used_and_agree(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(enumeration, "ThreadPoolExecutor", RecordingPool)
-    for s in (0, 3, 6):
-        reference = sweep_source(g, s, threads=1)
-        for k in (2, 3):
-            assert sweep_source(g, s, threads=k) == reference
-    assert pools == [2, 3] * 3
+    reference = sweep_sources(g, threads=1)
+    for k in (2, 3):
+        assert sweep_sources(g, threads=k) == reference
+    assert pools == [2, 3]
     assert classify(g, threads=4) == classify(g, threads=1)
 
 
