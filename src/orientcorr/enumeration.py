@@ -7,8 +7,11 @@ same numbers as a single pass regardless of how the range is split.
 
 The batch kernel evaluates many orientation words at once.  For a batch of
 B words it builds per-vertex out-neighbour bitsets of shape (n, B), one
-uint64 lane per word (batch_masks), and closes reachability in one of two
-ways, for two kinds of traffic:
+lane per word (batch_masks).  A lane is the narrowest unsigned integer
+that holds n bits: uint8 up to n = 8, uint16 to 16, uint32 to 32, else
+uint64, so small graphs move a quarter or an eighth of the bytes.  The
+orientation words themselves stay uint64.  The kernel closes reachability
+in one of two ways, for two kinds of traffic:
 
 * from one source, by frontier expansion (batch_reach): each step ORs in
   masks[v] on the lanes whose frontier holds v, O(n) word operations per
@@ -42,9 +45,8 @@ DEFAULT_CAP = 30
 # The kernel sums counts in int64, which holds a count of 2^62 words but
 # not of 2^63.
 MAX_CAP = 62
-# Bytes of (n, B) uint64 arrays one batch may hold at once.
+# Bytes of (n, B) bitset arrays one batch may hold at once, at 8 bytes a lane.
 _BATCH_BYTES = 1 << 22
-_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -96,42 +98,68 @@ def reachable(g: Graph, orientation: int, source: int, target: int) -> bool:
 # ---------------------------------------------------------------------------
 # Bitset batch kernel.
 
+def _lane(n: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned integer type that holds a set of n vertices.
+
+    Kernel arithmetic on the lanes takes lane-typed scalars: under NEP 50 a
+    np.uint64 operand would widen a narrower array back to 8 bytes a lane.
+    """
+    for lane in (np.uint8, np.uint16, np.uint32):
+        if n <= 8 * np.dtype(lane).itemsize:
+            return lane
+    return np.uint64
+
+
 def batch_masks(g: Graph, words: np.ndarray) -> np.ndarray:
     """Out-neighbour bitsets of every vertex, shape (n, B), for B words.
 
-    words has shape (B, W); edge i takes bit i % 64 of column i // 64.
-    The complemented words ~words reverse every edge, so they give the
-    in-neighbour bitsets.
+    words has shape (B, W) of uint64; edge i takes bit i % 64 of column
+    i // 64, read here as bit i % 8 of octet i // 8.  The bitsets come in
+    the narrowest lane type that holds n bits.  The complemented words
+    ~words reverse every edge, so they give the in-neighbour bitsets.
     """
-    masks = np.zeros((g.n, words.shape[0]), dtype=np.uint64)
+    lane = _lane(g.n)
+    # Octet k of every word in one contiguous row: a strided column read
+    # per edge cost about twice as much.
+    octets = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
+    masks = np.zeros((g.n, words.shape[0]), dtype=lane)
     for i, (u, v) in enumerate(g.edges):
-        fwd = words[:, i // 64] >> np.uint64(i % 64) & _ONE
-        masks[u] |= fwd << np.uint64(v)
-        masks[v] |= (fwd ^ _ONE) << np.uint64(u)
+        fwd = octets[i >> 3] >> (i & 7) & 1
+        masks[u] |= fwd * lane(1 << v)
+        masks[v] |= (fwd ^ 1) * lane(1 << u)
     return masks
 
 
 def batch_reach(masks: np.ndarray, source: int) -> np.ndarray:
-    """Bitset of the vertices reachable from source, one uint64 per word."""
-    reach = np.full(masks.shape[1], 1 << source, dtype=np.uint64)
+    """Bitset of the vertices reachable from source, one lane of masks' type per word."""
+    lane = masks.dtype.type
+    reach = np.full(masks.shape[1], 1 << source, dtype=lane)
     frontier = reach.copy()
+    grown = np.empty_like(reach)
+    scratch = np.empty_like(reach)
     live = 1 << source  # vertices in the frontier of at least one word
     while live:
-        grown = np.zeros_like(reach)
+        grown.fill(0)
         while live:
             v = (live & -live).bit_length() - 1
             live &= live - 1
-            grown |= masks[v] * (frontier >> np.uint64(v) & _ONE)
-        frontier = grown & ~reach
+            np.right_shift(frontier, lane(v), out=scratch)
+            scratch &= lane(1)
+            scratch *= masks[v]
+            grown |= scratch
+        np.invert(reach, out=scratch)
+        np.bitwise_and(grown, scratch, out=frontier)
         reach |= frontier
         live = int(np.bitwise_or.reduce(frontier))
     return reach
 
 
 def _batch_size(n: int, planes: int) -> int:
-    # The largest power of two of words whose `planes` (n, B) uint64 arrays
-    # fit the budget, so every arange batch is an aligned block.  At most
-    # 2^16 words, so per-batch float32 counts in sweep_sources stay exact.
+    # The largest power of two of words whose `planes` (n, B) arrays of
+    # 8-byte lanes fit the budget, so every arange batch is an aligned
+    # block.  Lanes are 8 bytes only above n = 32, so for smaller graphs
+    # this is an upper bound.  At most 2^16 words, so per-batch float32
+    # counts in sweep_sources stay exact.
     fit = _BATCH_BYTES // (8 * n * planes)
     return min(1 << 16, max(1 << 10, 1 << fit.bit_length() - 1))
 
@@ -139,8 +167,9 @@ def _batch_size(n: int, planes: int) -> int:
 def triple_counts(g: Graph, t: Triple, words: np.ndarray) -> np.ndarray:
     """[#a->s, #s->b, #both] over a batch of orientation words."""
     masks = batch_masks(g, words)
-    c = batch_reach(masks, t.a) >> np.uint64(t.s) & _ONE
-    d = batch_reach(masks, t.s) >> np.uint64(t.b) & _ONE
+    lane = masks.dtype.type
+    c = batch_reach(masks, t.a) >> lane(t.s) & lane(1)
+    d = batch_reach(masks, t.s) >> lane(t.b) & lane(1)
     return np.array([np.count_nonzero(c), np.count_nonzero(d), np.count_nonzero(c & d)],
                     dtype=np.int64)
 
@@ -153,20 +182,22 @@ def _close_all(reach: np.ndarray) -> np.ndarray:
     vertices 0..k.  Every vertex reaches itself.
     """
     n = reach.shape[0]
-    reach |= _ONE << np.arange(n, dtype=np.uint64)[:, None]
+    lane = reach.dtype.type
+    reach |= (lane(1) << np.arange(n, dtype=lane))[:, None]
     scratch = np.empty_like(reach)
     for k in range(n):
-        np.right_shift(reach, np.uint64(k), out=scratch)
-        scratch &= _ONE
+        np.right_shift(reach, lane(k), out=scratch)
+        scratch &= lane(1)
         scratch *= reach[k]
         reach |= scratch
     return reach
 
 
 def _vertex_bits(sets: np.ndarray, n: int) -> np.ndarray:
-    """uint64 vertex bitsets as 0/1 uint8, with a last axis of n vertices."""
+    """Vertex bitsets of any lane type as 0/1 uint8, with a last axis of n vertices."""
     vertices = np.arange(n)
-    octets = sets.astype("<u8", copy=False).view(np.uint8).reshape(*sets.shape, 8)
+    little = sets.astype(sets.dtype.newbyteorder("<"), copy=False)
+    octets = little.view(np.uint8).reshape(*sets.shape, sets.dtype.itemsize)
     bits = octets[..., vertices >> 3]
     bits >>= (vertices & 7).astype(np.uint8)
     bits &= 1

@@ -27,7 +27,7 @@ from orientcorr import (
     joint_unreachable_prob,
     mc_estimate,
     relative_covariance,
-    sweep_source,
+    sweep_sources,
     unreachable_prob,
 )
 from orientcorr.cli import main
@@ -129,8 +129,9 @@ def test_criterion_06_forest_dichotomy(report):
     trees = tree_corpus()
     ok = len(trees) >= 50
     for g in trees:
+        joints = sweep_sources(g)
         for s in range(g.n):
-            into, outof, joint = sweep_source(g, s)
+            joint = joints[s]
             from_s = _tree_distances(g, s)
             for a in range(g.n):
                 from_a = _tree_distances(g, a)
@@ -139,7 +140,7 @@ def test_criterion_06_forest_dichotomy(report):
                         continue
                     verdict = forest_correlation(g, Triple(a, s, b))
                     enumerated = TripleCorrelation.from_scaled(
-                        into[a], outof[b], joint[a][b], g.m)
+                        joint[a][s], joint[s][b], joint[a][b], g.m)
                     ok = ok and verdict.correlation() == enumerated
                     via_s = from_a[s] + from_s[b] == from_a[b]
                     ok = ok and (verdict.kind == "independent") == via_s

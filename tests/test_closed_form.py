@@ -15,7 +15,7 @@ from orientcorr import (
     forest_correlation,
     graph_from_edges,
     path_graph,
-    sweep_source,
+    sweep_sources,
 )
 from orientcorr.dyadic import DyadicProb
 from support import star, tree_corpus
@@ -123,15 +123,16 @@ def test_forest_dichotomy_matches_enumeration_on_tree_set():
     assert len(trees) >= 50
     for g in trees:
         total = 1 << g.m
+        joints = sweep_sources(g)
         for s in range(g.n):
-            into, outof, joint = sweep_source(g, s)
+            joint = joints[s]
             for a in range(g.n):
                 for b in range(g.n):
                     if len({a, s, b}) != 3:
                         continue
                     verdict = forest_correlation(g, Triple(a, s, b))
                     enumerated = TripleCorrelation.from_scaled(
-                        into[a], outof[b], joint[a][b], g.m)
+                        joint[a][s], joint[s][b], joint[a][b], g.m)
                     assert verdict.correlation() == enumerated
                     if verdict.kind == "independent":
                         assert verdict.cov.sign == 0

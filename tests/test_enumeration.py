@@ -25,7 +25,8 @@ from orientcorr import (
 from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
 from orientcorr.enumeration import (
-    _batch_size, _out_adjacency, _reach_set, batch_masks, triple_counts)
+    _arange_words, _batch_size, _out_adjacency, _reach_set, batch_masks,
+    batch_reach, triple_counts)
 from orientcorr.montecarlo import _sample_words
 from support import diamond, random_graph, star
 
@@ -204,27 +205,51 @@ def small_graphs_with_triple(draw):
 
 
 @st.composite
-def sparse_62_with_triple(draw):
-    # n = 62 with few edges, all among a handful of vertices that include 61,
-    # so the top vertex bit of the uint64 lanes takes part.
-    others = sorted(draw(st.sets(st.integers(min_value=0, max_value=60), min_size=2, max_size=5)))
-    verts = others + [61]
+def sparse_with_top_triple(draw, n):
+    # n vertices with few edges, all among a handful of vertices that
+    # include the top one, n - 1, which is a, s or b: so the top bit of
+    # the bitset lanes takes part.
+    top = n - 1
+    others = sorted(draw(st.sets(st.integers(min_value=0, max_value=top - 1),
+                                 min_size=2, max_size=5)))
+    verts = others + [top]
     pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=6))
-    edges.append((draw(st.sampled_from(others)), 61))
+    edges.append((draw(st.sampled_from(others)), top))
     a, b = draw(st.permutations(others))[:2]
     role = draw(st.integers(min_value=0, max_value=2))
-    triple = [(61, a, b), (a, 61, b), (a, b, 61)][role]
-    return graph_from_edges(62, set(edges)), Triple(*triple)
+    triple = [(top, a, b), (a, top, b), (a, b, top)][role]
+    return graph_from_edges(n, set(edges)), Triple(*triple)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(small_graphs_with_triple(), sparse_62_with_triple()))
+@given(st.one_of(small_graphs_with_triple(), sparse_with_top_triple(62)))
 @example((graph_from_edges(5, [(0, 1), (1, 2), (0, 2)]), Triple(0, 1, 2)))  # isolated 3 and 4
 @example((graph_from_edges(4, [(0, 1), (1, 3)]), Triple(2, 1, 3)))  # isolated source
 @example((graph_from_edges(62, [(0, 61), (30, 61), (0, 30)]), Triple(0, 61, 30)))
 def test_kernel_matches_reachable_oracle(case):
     _check_against_oracle(*case)
+
+
+# Each side of every lane width: uint8 up to n = 8, uint16 to 16, uint32 to 32.
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_oracle_at_lane_boundaries(n, data):
+    _check_against_oracle(*data.draw(sparse_with_top_triple(n)))
+
+
+@pytest.mark.parametrize("n, lane", [(8, np.uint8), (9, np.uint16), (16, np.uint16),
+                                     (17, np.uint32), (32, np.uint32), (33, np.uint64),
+                                     (62, np.uint64)])
+def test_lanes_are_the_narrowest_type_holding_n_bits(n, lane):
+    # A stray np.uint64 operand would widen narrow lanes back to 8 bytes:
+    # still correct, but slow, so only the dtype shows it.
+    g = graph_from_edges(n, [(0, n - 1), (1, n - 1)])
+    for words in (_arange_words(0, 8), _sample_words(7, 1, 0, 8)):
+        masks = batch_masks(g, words)
+        assert masks.dtype == lane
+        assert batch_reach(masks, n - 1).dtype == lane
 
 
 def test_kernel_matches_oracle_on_seeded_graphs():
