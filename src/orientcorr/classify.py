@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .enumeration import DEFAULT_CAP, check_cap, sweep_sources
 from .errors import GraphFormatError, OverCapError
-from .graphs import Graph, bfs_layers, is_connected, neighbours, parse_graph6
+from .graphs import Graph, bfs_layers, is_connected, members, neighbours, parse_graph6
 
 MINOR_MAX_VERTICES = 10
 
@@ -155,7 +155,7 @@ def _connected_subsets(g: Graph) -> list[int]:
         if sum(bfs_layers(g.adjacency, mask & -mask, mask)) == mask:
             subsets.append(mask)
     # Small sets first so witnesses made of singletons are found immediately.
-    subsets.sort(key=lambda mask: (bin(mask).count("1"), mask))
+    subsets.sort(key=lambda mask: (mask.bit_count(), mask))
     return subsets
 
 
@@ -173,7 +173,7 @@ def has_minor(g: Graph, h: Graph) -> bool:
     nbr_of = {mask: neighbours(g.adjacency, mask) & ~mask for mask in subsets}
     # Place high-degree vertices of h first: their adjacency constraints
     # prune hardest.
-    h_deg = [bin(h.adjacency[v]).count("1") for v in range(h.n)]
+    h_deg = [h.adjacency[v].bit_count() for v in range(h.n)]
     order = sorted(range(h.n), key=lambda v: -h_deg[v])
     placed: list[int] = []
 
@@ -259,7 +259,7 @@ def _block_is_outerplanar(adjacency: Sequence[int], block: int) -> bool:
     other vertices remain, two sides and the rest of the block give three
     disjoint u-w paths, a K2,3 minor.  So no edge ever takes a third side.
     """
-    nbrs = {v: adjacency[v] & block for v in _bits(block)}
+    nbrs = {v: adjacency[v] & block for v in members(block)}
     k = len(nbrs)
     if sum(b.bit_count() for b in nbrs.values()) // 2 > 2 * k - 3:
         return False
@@ -273,7 +273,7 @@ def _block_is_outerplanar(adjacency: Sequence[int], block: int) -> bool:
         if not degree_two:
             return False
         v = degree_two.pop()
-        u, w = _bits(nbrs.pop(v))
+        u, w = members(nbrs.pop(v))
         k -= 1
         nbrs[u] &= ~(1 << v)
         nbrs[w] &= ~(1 << v)
@@ -287,15 +287,6 @@ def _block_is_outerplanar(adjacency: Sequence[int], block: int) -> bool:
             nbrs[w] |= 1 << u
         sided.add(edge)
     return True
-
-
-def _bits(mask: int) -> list[int]:
-    """The vertices of a bitset, in increasing order."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def is_outerplanar(g: Graph) -> bool:

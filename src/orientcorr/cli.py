@@ -70,6 +70,11 @@ def _correlation_json(cor: TripleCorrelation) -> dict:
     }
 
 
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _emit(args, record: dict, human: str) -> None:
     if args.json:
         print(json.dumps(record))
@@ -104,35 +109,6 @@ def _correlation_lines(cor: TripleCorrelation) -> str:
     )
 
 
-def cmd_kn(args) -> int:
-    if args.n < 2:
-        print(f"kn: need --n >= 2, got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
-    row = complete.table_row(args.n)
-    record = _record(
-        "kn",
-        n=row.n,
-        p_single=_dyadic_json(row.p_single),
-        scaled_single=str(row.scaled_single),
-        p_joint=_dyadic_json(row.p_joint) if row.p_joint else None,
-        scaled_joint=str(row.scaled_joint) if row.scaled_joint is not None else None,
-        rel_cov=fraction_to_decimal(row.rel_cov, 6) if row.rel_cov is not None else None,
-    )
-    lines = [
-        f"n             = {row.n}",
-        f"p_single      = {row.p_single}  ({fraction_to_decimal(row.p_single.as_fraction(), 4)})",
-        f"scaled_single = {row.scaled_single}",
-    ]
-    if row.p_joint is not None:
-        lines += [
-            f"p_joint       = {row.p_joint}  ({fraction_to_decimal(row.p_joint.as_fraction(), 7)})",
-            f"scaled_joint  = {row.scaled_joint}",
-            f"rel_cov       = {fraction_to_decimal(row.rel_cov, 6)}",
-        ]
-    _emit(args, record, "\n".join(lines))
-    return EXIT_OK
-
-
 TABLE_HEADER = ("n", "scaled_single", "p_single", "scaled_joint", "p_joint", "rel_cov")
 
 
@@ -148,10 +124,38 @@ def _table_cells(r: complete.KnRow) -> tuple:
     )
 
 
+def cmd_kn(args) -> int:
+    if args.n < 2:
+        return _usage_error(f"kn: need --n >= 2, got {args.n}")
+    row = complete.table_row(args.n)
+    _, scaled_single, single, scaled_joint, joint, rel_cov = _table_cells(row)
+    record = _record(
+        "kn",
+        n=row.n,
+        p_single=_dyadic_json(row.p_single),
+        scaled_single=scaled_single,
+        p_joint=_dyadic_json(row.p_joint) if row.p_joint else None,
+        scaled_joint=scaled_joint,
+        rel_cov=rel_cov,
+    )
+    lines = [
+        f"n             = {row.n}",
+        f"p_single      = {row.p_single}  ({single})",
+        f"scaled_single = {scaled_single}",
+    ]
+    if row.p_joint is not None:
+        lines += [
+            f"p_joint       = {row.p_joint}  ({joint})",
+            f"scaled_joint  = {scaled_joint}",
+            f"rel_cov       = {rel_cov}",
+        ]
+    _emit(args, record, "\n".join(lines))
+    return EXIT_OK
+
+
 def cmd_table(args) -> int:
     if args.max_n < 2:
-        print(f"table: need --max-n >= 2, got {args.max_n}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"table: need --max-n >= 2, got {args.max_n}")
     cells = [_table_cells(complete.table_row(n)) for n in range(2, args.max_n + 1)]
     if args.json:
         rows = [dict(zip(TABLE_HEADER, row)) for row in cells]
@@ -186,22 +190,18 @@ def cmd_cycle(args) -> int:
     by_arcs = args.c is not None or args.d is not None
     by_labels = args.a is not None or args.s is not None or args.b is not None
     if by_arcs == by_labels:
-        print("cycle: give either --c/--d or --a/--s/--b", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("cycle: give either --c/--d or --a/--s/--b")
     try:
         if by_arcs:
             if args.c is None or args.d is None:
-                print("cycle: both --c and --d are required", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage_error("cycle: both --c and --d are required")
             triple = closed_form.CycleTriple(args.n, args.c, args.d)
         else:
             if None in (args.a, args.s, args.b):
-                print("cycle: all of --a/--s/--b are required", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage_error("cycle: all of --a/--s/--b are required")
             triple = closed_form.cycle_triple_from_labels(args.n, args.a, args.s, args.b)
     except ValueError as exc:
-        print(f"cycle: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"cycle: {exc}")
     cor = closed_form.cycle_correlation(triple)
     record = _record("cycle", **asdict(triple), **_correlation_json(cor))
     human = (
@@ -246,10 +246,9 @@ def _classify_record_human(rec: dict) -> str:
 
 
 def cmd_classify(args) -> int:
-    if (args.graph6 is None) == (args.stream is None):
-        print("classify: give exactly one of --graph6 or --stream", file=sys.stderr)
-        return EXIT_USAGE
     if args.stream is not None:
+        if args.allow_disconnected:
+            return _usage_error("classify: --allow-disconnected applies to --graph6 only")
         source = nullcontext(sys.stdin) if args.stream == "-" else open(args.stream)
         with source as handle:
             for rec in classify_stream(handle, cap=args.cap, threads=args.threads,
@@ -280,8 +279,7 @@ def cmd_classify(args) -> int:
 def cmd_mc(args) -> int:
     g, t = _load_graph_triple(args)
     if args.samples < 1:
-        print(f"mc: need --samples >= 1, got {args.samples}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"mc: need --samples >= 1, got {args.samples}")
     est = mc_estimate(g, t, args.samples, args.seed, threads=args.threads)
     # Written out rather than asdict(est): count_neither is a property, and
     # it sits between the counts and the estimates.
@@ -316,8 +314,7 @@ def cmd_mc(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.max_n < 3:
-        print(f"bounds: need --max-n >= 3, got {args.max_n}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"bounds: need --max-n >= 3, got {args.max_n}")
     rows = complete.bound_report(args.max_n)
     all_ok = all(r.all_ok() for r in rows)
     if args.json:
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--stream", help="file of graph6 lines, '-' for stdin")
     p.add_argument("--outerplanar", action="store_true", help="add the outerplanarity probe")
     p.add_argument("--allow-disconnected", action="store_true",
-                   help="census a disconnected graph instead of refusing")
+                   help="census a disconnected --graph6 graph instead of refusing")
     p.set_defaults(func=cmd_classify)
 
     p = add_parser("mc", "Monte Carlo estimate for one triple")
@@ -431,6 +428,12 @@ def main(argv: list[str] | None = None) -> int:
         args.json = False
     if not hasattr(args, "cap"):
         args.cap = DEFAULT_CAP
+    # Exact integers print in full at any size: the interpreter's limit on
+    # int-to-str digits (Python 3.10.7 on) is lifted while the command runs.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         if not hasattr(args, "threads"):
             args.threads = _default_threads()
@@ -447,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

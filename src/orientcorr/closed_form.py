@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation
-from .graphs import Graph, Triple, bfs_layers
+from .graphs import Graph, Triple, bfs_layers, members
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class ForestVerdict:
 def _distances(g: Graph, source: int) -> list[int | None]:
     dist: list[int | None] = [None] * g.n
     for level, layer in enumerate(bfs_layers(g.adjacency, 1 << source)):
-        while layer:
-            v = (layer & -layer).bit_length() - 1
-            layer &= layer - 1
+        for v in members(layer):
             dist[v] = level
     return dist
 

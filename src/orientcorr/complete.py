@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dyadic import DyadicProb, _strip_twos
+from .dyadic import DyadicProb
 
 # Exact forms of the decimal constants in the envelope bounds.
 _C_SINGLE_UPPER = Fraction(16, 5)       # 3.2
@@ -45,11 +45,6 @@ def _scaled(value: Fraction, n: int) -> int:
     return value.numerator << (_pairs(n) + 1 - value.denominator.bit_length())
 
 
-def _unscaled(total: int, n: int) -> Fraction:
-    num, exp = _strip_twos(total, _pairs(n))
-    return Fraction(num, 1 << exp)
-
-
 @lru_cache(maxsize=None)
 def unreachable_prob(n: int, k: int) -> Fraction:
     """P(no directed path from any of a k-set to the target) on K_n."""
@@ -63,7 +58,7 @@ def unreachable_prob(n: int, k: int) -> Fraction:
     total = sum(comb(w, i - k) << (_pairs(i) + _pairs(n - i)) for i in range(k, n))
     total -= sum(comb(w, j - k - 1) * _scaled(unreachable_prob(j, k), j) << _pairs(n - j)
                  for j in range(k + 1, n))
-    return _unscaled(total, n)
+    return DyadicProb.of(total, _pairs(n)).as_fraction()
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +73,7 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
                 for i in range(n - 2, k - 1, -1))
     total -= sum(comb(w, j - k - 2) * _scaled(joint_unreachable_prob(j, k), j) << _pairs(n - j)
                  for j in range(k + 2, n))
-    return _unscaled(total, n)
+    return DyadicProb.of(total, _pairs(n)).as_fraction()
 
 
 def relative_covariance(n: int) -> Fraction:

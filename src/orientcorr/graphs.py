@@ -86,12 +86,17 @@ def path_graph(n: int) -> Graph:
     return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
+def members(mask: int) -> Iterator[int]:
+    """The vertices of the bitset `mask`, in increasing order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def neighbours(adjacency: Sequence[int], vertices: int) -> int:
     """Union of adjacency[v] over the vertices v in the bitset `vertices`."""
     nbr = 0
-    while vertices:
-        v = (vertices & -vertices).bit_length() - 1
-        vertices &= vertices - 1
+    for v in members(vertices):
         nbr |= adjacency[v]
     return nbr
 

@@ -95,12 +95,19 @@ def test_forest_on_cyclic_graph_exits_2(capsys):
     assert "cycle" in err
 
 
-def test_classify_disconnected_needs_flag(capsys):
+def test_classify_disconnected_needs_flag(capsys, monkeypatch):
     g6 = emit_graph6(graph_from_edges(4, [(0, 1), (2, 3)]))
     assert run_cli(capsys, ["classify", "--graph6", g6])[0] == 2
     code, out, _ = run_cli(capsys, ["classify", "--graph6", g6, "--allow-disconnected"])
     assert code == 0
     assert "disconnected" in out
+    # A stream always skips disconnected graphs, so there the flag is
+    # refused, before any line is read, rather than ignored.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(g6 + "\n"))
+    code, out, err = run_cli(capsys, ["classify", "--stream", "-", "--allow-disconnected"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "--allow-disconnected applies to --graph6 only" in err
 
 
 def test_outerplanar_probe_cap_exits_4(capsys):
@@ -191,6 +198,28 @@ def test_kn_json_round_trip(capsys):
     row = table_row(5)
     assert parse_dyadic(rec["p_single"]["exact"]) == row.p_single
     assert parse_dyadic(rec["p_joint"]["exact"]) == row.p_joint
+
+
+def test_exact_integers_print_in_full_past_the_digit_limit(capsys):
+    # Both values have about 6,000 digits, past the interpreter's default
+    # 4,300-digit limit on int-to-str conversion (Python 3.10.7 and later).
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run_cli(capsys, ["kn", "--n", "200", "--json"])
+    assert (code, err) == (0, "")
+    assert get_limit() == limit  # restored when main returns
+    scaled_single = json.loads(out)["scaled_single"]
+    code, out, err = run_cli(capsys, ["--json", "cycle", "--n", "20000", "--c", "3", "--d", "4"])
+    assert (code, err) == (0, "")
+    p_c = json.loads(out)["p_c"]["exact"]
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert scaled_single == str(table_row(200).scaled_single)
+        assert parse_dyadic(p_c) == cycle_correlation(CycleTriple(20000, 3, 4)).p_c
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_kn_json_smallest_case(capsys):

@@ -16,6 +16,7 @@ from orientcorr import (
     parse_graph6,
     path_graph,
 )
+from orientcorr.graphs import MAX_VERTICES, members
 from support import random_graph, star
 
 
@@ -94,6 +95,11 @@ def test_edge_list_errors(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+@given(st.integers(0, (1 << MAX_VERTICES) - 1))
+def test_members_lists_set_bits_in_increasing_order(mask):
+    assert list(members(mask)) == [v for v in range(MAX_VERTICES) if mask >> v & 1]
 
 
 def test_edges_sorted_and_canonical():

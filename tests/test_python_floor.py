@@ -1,0 +1,21 @@
+"""Every source and test file parses under the Python 3.10 grammar.
+
+Python 3.10 is the declared minimum (pyproject's requires-python), but the
+suite may run on a newer interpreter.  ast.parse with feature_version
+rejects syntax newer than 3.10, such as `except*` or type parameter lists.
+This checks grammar only: a stdlib function or type added after 3.10 still
+passes here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*(ROOT / "src" / "orientcorr").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_under_python_3_10_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
