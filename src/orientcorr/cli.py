@@ -157,17 +157,13 @@ def cmd_table(args) -> int:
     if args.max_n < 2:
         return _usage_error(f"table: need --max-n >= 2, got {args.max_n}")
     cells = [_table_cells(complete.table_row(n)) for n in range(2, args.max_n + 1)]
-    if args.json:
-        rows = [dict(zip(TABLE_HEADER, row)) for row in cells]
-        print(json.dumps(_record("table", max_n=args.max_n, rows=rows)))
-        return EXIT_OK
+    record = _record("table", max_n=args.max_n, rows=[dict(zip(TABLE_HEADER, row)) for row in cells])
     lines = [TABLE_HEADER] + [tuple("-" if c is None else str(c) for c in row) for row in cells]
     # Each column fits its header and cells; n and the last two decimal
     # columns also keep their fixed minimum widths.
     widths = [max(least, *map(len, column))
               for least, column in zip((3, 0, 0, 0, 10, 10), zip(*lines))]
-    for line in lines:
-        print("  ".join(c.rjust(w) for c, w in zip(line, widths)))
+    _emit(args, record, "\n".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in lines))
     return EXIT_OK
 
 
@@ -216,11 +212,11 @@ def cmd_forest(args) -> int:
     g, t = _load_graph_triple(args)
     verdict = closed_form.forest_correlation(g, t)
     record = _record("forest", **_triple_fields(g, t), kind=verdict.kind,
-                     **_correlation_json(verdict.correlation()))
+                     **_correlation_json(verdict.correlation))
     human = (
         f"{_triple_header(g, t)}\n"
         f"kind  = {verdict.kind}\n"
-        + _correlation_lines(verdict.correlation())
+        + _correlation_lines(verdict.correlation)
     )
     _emit(args, record, human)
     return EXIT_OK
@@ -281,23 +277,7 @@ def cmd_mc(args) -> int:
     if args.samples < 1:
         return _usage_error(f"mc: need --samples >= 1, got {args.samples}")
     est = mc_estimate(g, t, args.samples, args.seed, threads=args.threads)
-    # Written out rather than asdict(est): count_neither is a property, and
-    # it sits between the counts and the estimates.
-    record = _record(
-        "mc",
-        **_triple_fields(g, t),
-        samples=est.samples,
-        seed=est.seed,
-        count_c=est.count_c,
-        count_d=est.count_d,
-        count_cd=est.count_cd,
-        count_neither=est.count_neither,
-        p_c_hat=est.p_c_hat,
-        p_d_hat=est.p_d_hat,
-        p_cd_hat=est.p_cd_hat,
-        cov_hat=est.cov_hat,
-        se_cov=est.se_cov,
-    )
+    record = _record("mc", **_triple_fields(g, t), **asdict(est))
     human = (
         f"{_triple_header(g, t)}\n"
         f"samples = {est.samples}, seed = {est.seed}\n"
@@ -317,26 +297,23 @@ def cmd_bounds(args) -> int:
         return _usage_error(f"bounds: need --max-n >= 3, got {args.max_n}")
     rows = complete.bound_report(args.max_n)
     all_ok = all(r.all_ok() for r in rows)
-    if args.json:
-        record = _record("bounds", max_n=args.max_n, all_ok=all_ok,
-                         rows=[asdict(r) for r in rows])
-        print(json.dumps(record))
-        return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    record = _record("bounds", max_n=args.max_n, all_ok=all_ok, rows=[asdict(r) for r in rows])
     def mark(flag):
         return "-" if flag is None else ("ok" if flag else "FAIL")
-    print("  n  s_lo  s_hi  j_lo  j_hi  sum2a sum2b  sum3  mdec  m<5  2^(n-2)*p1    2^(2n-3)*p2")
+    lines = ["  n  s_lo  s_hi  j_lo  j_hi  sum2a sum2b  sum3  mdec  m<5  2^(n-2)*p1    2^(2n-3)*p2"]
     for r in rows:
         # margin_below_5 is informational (it first holds at n = 8), so it
         # renders yes/no rather than ok/FAIL.
         below = "-" if r.margin_below_5 is None else ("yes" if r.margin_below_5 else "no")
-        print(f"{r.n:3d}  "
-              + "  ".join(mark(f).ljust(4) for f in
-                          (r.single_lower_ok, r.single_upper_ok, r.joint_lower_ok,
-                           r.joint_upper_ok, r.sum2_bound_a_ok, r.sum2_bound_b_ok,
-                           r.sum3_bound_ok, r.margin_decreased))
-              + f"  {below.ljust(3)}"
-              + f"  {r.single_scaled_limit:<12.8f}"
-              + (f"  {r.joint_scaled_limit:<12.8f}" if r.joint_scaled_limit is not None else "  -"))
+        lines.append(f"{r.n:3d}  "
+                     + "  ".join(mark(f).ljust(4) for f in
+                                 (r.single_lower_ok, r.single_upper_ok, r.joint_lower_ok,
+                                  r.joint_upper_ok, r.sum2_bound_a_ok, r.sum2_bound_b_ok,
+                                  r.sum3_bound_ok, r.margin_decreased))
+                     + f"  {below.ljust(3)}"
+                     + f"  {r.single_scaled_limit:<12.8f}"
+                     + (f"  {r.joint_scaled_limit:<12.8f}" if r.joint_scaled_limit is not None else "  -"))
+    _emit(args, record, "\n".join(lines))
     if not all_ok:
         print("bounds: at least one check failed", file=sys.stderr)
         return EXIT_CHECK_FAILED

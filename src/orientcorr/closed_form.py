@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation
+from .dyadic import SignedDyadic, TripleCorrelation
 from .graphs import Graph, Triple, bfs_layers, members
 
 
@@ -34,6 +34,8 @@ class CycleTriple:
 
 def cycle_triple_from_labels(n: int, a: int, s: int, b: int) -> CycleTriple:
     """Arc lengths for labeled vertices on the standard cycle 0-1-...-(n-1)-0."""
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     if len({a % n, s % n, b % n}) != 3:
         raise ValueError(f"triple ({a}, {s}, {b}) is not distinct on the {n}-cycle")
     c = (s - a) % n
@@ -66,13 +68,7 @@ class ForestVerdict:
     """Outcome of the forest dichotomy for one triple."""
 
     kind: str  # "independent" or "mutually_exclusive"
-    p_c: DyadicProb
-    p_d: DyadicProb
-    p_cd: DyadicProb
-    cov: SignedDyadic
-
-    def correlation(self) -> TripleCorrelation:
-        return TripleCorrelation(self.p_c, self.p_d, self.p_cd, self.cov)
+    correlation: TripleCorrelation
 
 
 def _distances(g: Graph, source: int) -> list[int | None]:
@@ -99,19 +95,16 @@ def forest_correlation(g: Graph, t: Triple) -> ForestVerdict:
     if not _is_forest(g):
         raise ValueError("graph has a cycle; the forest dichotomy does not apply")
     from_a = _distances(g, t.a)
-    from_s = _distances(g, t.s)
     d_as = from_a[t.s]
-    d_sb = from_s[t.b]
-    p_c = DyadicProb.of(1, d_as) if d_as is not None else DyadicProb.zero()
-    p_d = DyadicProb.of(1, d_sb) if d_sb is not None else DyadicProb.zero()
-    if d_as is None or d_sb is None:
-        # A component boundary kills at least one event outright.
-        return ForestVerdict("independent", p_c, p_d, p_c * p_d, SignedDyadic.of(0, 0))
-    if from_a[t.b] == d_as + d_sb:
-        # The unique a-b path runs through s: the two events use disjoint
-        # edge sets, hence independence.
-        return ForestVerdict("independent", p_c, p_d, p_c * p_d, SignedDyadic.of(0, 0))
+    d_sb = _distances(g, t.s)[t.b]
+    # Both events over 2^e: P(a->s) = 2^-d_as and P(s->b) = 2^-d_sb, or 0
+    # when a component boundary separates the pair.
+    e = (d_as or 0) + (d_sb or 0)
+    n_c = 0 if d_as is None else 1 << (d_sb or 0)
+    n_d = 0 if d_sb is None else 1 << (d_as or 0)
+    if n_c == 0 or n_d == 0 or from_a[t.b] == e:
+        # An event that cannot happen, or a unique a-b path running through
+        # s (the two events use disjoint edge sets): independence.
+        return ForestVerdict("independent", TripleCorrelation.from_scaled(n_c, n_d, (n_c * n_d) >> e, e))
     # Otherwise the a-s and s-b paths share an edge traversed both ways.
-    product = p_c * p_d
-    return ForestVerdict("mutually_exclusive", p_c, p_d, DyadicProb.zero(),
-                         SignedDyadic.of(-product.num, product.exp))
+    return ForestVerdict("mutually_exclusive", TripleCorrelation.from_scaled(n_c, n_d, 0, e))

@@ -87,10 +87,9 @@ def covariance_sign(n: int) -> int:
     """Sign of the covariance of the two no-path events on K_n, n >= 3."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    single = unreachable_prob(n, 1)
-    joint = joint_unreachable_prob(n, 1)
-    diff = joint - single * single
-    return (diff > 0) - (diff < 0)
+    # The joint probability is positive, so it cannot flip the sign.
+    rel = relative_covariance(n)
+    return (rel > 0) - (rel < 0)
 
 
 @dataclass(frozen=True)

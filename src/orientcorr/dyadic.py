@@ -41,10 +41,6 @@ class DyadicProb:
         return cls(0, 0)
 
     @classmethod
-    def one(cls) -> "DyadicProb":
-        return cls(1, 0)
-
-    @classmethod
     def from_fraction(cls, value: Fraction) -> "DyadicProb":
         den = value.denominator
         if den & (den - 1) != 0:
@@ -59,13 +55,6 @@ class DyadicProb:
 
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
-
-    def __mul__(self, other: "DyadicProb") -> "DyadicProb":
-        return DyadicProb.of(self.num * other.num, self.exp + other.exp)
-
-    def complement(self) -> "DyadicProb":
-        """1 - value, exact."""
-        return DyadicProb.of((1 << self.exp) - self.num, self.exp)
 
 
 @dataclass(frozen=True)

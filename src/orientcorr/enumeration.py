@@ -233,8 +233,9 @@ def run_batches(
 
     words(lo, hi) returns the orientation words of indices lo..hi-1 and
     reduce maps them to an int64 count array.  The range is cut into
-    batches sized for `planes` (n, B) uint64 arrays, shared among `threads`
-    threads.
+    batches sized for `planes` (n, B) lane arrays, shared among `threads`
+    threads.  The 4 MiB budget counts 8 bytes a lane, an upper bound on
+    the narrow lanes of graphs with n <= 32.
     """
     step = _batch_size(g.n, planes)
 
@@ -306,7 +307,8 @@ def sweep_sources(
     counts s -> b; callers exclude s when forming triples.
     """
     total = _walk_size(g, cap)
-    # The closure holds two (n, B) uint64 planes, and its bits n/8 more.
+    # The closure holds two (n, B) lane planes, and its bits n/8 more; the
+    # 4 MiB budget counts 8 bytes a lane, an upper bound.
     return run_batches(g, total, _arange_words, partial(_sweep_all, g),
                        threads=threads, planes=2 + (g.n + 7) // 8).tolist()
 

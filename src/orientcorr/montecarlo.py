@@ -66,15 +66,12 @@ class McEstimate:
     count_c: int
     count_d: int
     count_cd: int
+    count_neither: int
     p_c_hat: float
     p_d_hat: float
     p_cd_hat: float
     cov_hat: float
     se_cov: float
-
-    @property
-    def count_neither(self) -> int:
-        return self.samples - self.count_c - self.count_d + self.count_cd
 
 
 def _sample_words(seed: int, nwords: int, lo: int, hi: int) -> np.ndarray:
@@ -109,6 +106,7 @@ def mc_estimate(g: Graph, t: Triple, samples: int, seed: int, *, threads: int = 
         count_c=n_c,
         count_d=n_d,
         count_cd=n_cd,
+        count_neither=samples - n_c - n_d + n_cd,
         p_c_hat=n_c / samples,
         p_d_hat=n_d / samples,
         p_cd_hat=n_cd / samples,

@@ -141,7 +141,7 @@ def test_criterion_06_forest_dichotomy(report):
                     verdict = forest_correlation(g, Triple(a, s, b))
                     enumerated = TripleCorrelation.from_scaled(
                         joint[a][s], joint[s][b], joint[a][b], g.m)
-                    ok = ok and verdict.correlation() == enumerated
+                    ok = ok and verdict.correlation == enumerated
                     via_s = from_a[s] + from_s[b] == from_a[b]
                     ok = ok and (verdict.kind == "independent") == via_s
     report(6, ok, f"forest dichotomy matches enumeration on {len(trees)} trees; "

@@ -277,6 +277,12 @@ def test_cycle_json_fields(capsys):
     assert rec["cov"]["magnitude"] == "1/2^10"
 
 
+def test_cycle_labels_below_three_vertices_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["cycle", "--n", "0", "--a", "0", "--s", "1", "--b", "2"])
+    assert (code, out) == (2, "")
+    assert err == "cycle: cycle needs at least 3 vertices, got 0\n"
+
+
 def test_cycle_labeled_form(capsys):
     _, arcs, _ = run_cli(capsys, ["cycle", "--n", "6", "--c", "2", "--d", "1"])
     _, labels, _ = run_cli(capsys, ["cycle", "--n", "6", "--a", "0", "--s", "2", "--b", "3"])
@@ -356,8 +362,9 @@ def test_bounds_failed_check_exits_5(capsys, monkeypatch):
     assert code == 5
     assert "FAIL" in out
     assert "at least one check failed" in err
-    code, out, _ = run_cli(capsys, ["--json", "bounds", "--max-n", "8"])
+    code, out, err = run_cli(capsys, ["--json", "bounds", "--max-n", "8"])
     assert code == 5
+    assert err == "bounds: at least one check failed\n"
     rec = json.loads(out)
     assert rec["all_ok"] is False
     assert rec["rows"][3]["sum3_bound_ok"] is False

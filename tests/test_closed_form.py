@@ -1,6 +1,7 @@
 """Cycle and forest closed forms against the exhaustive oracle."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orientcorr import (
     CycleTriple,
@@ -84,10 +85,10 @@ def test_cycle_cov_ceiling_equality_iff_adjacent():
 def test_forest_path_through_middle_is_independent():
     verdict = forest_correlation(path_graph(5), Triple(0, 2, 4))
     assert verdict.kind == "independent"
-    assert verdict.p_c == DyadicProb.of(1, 2)
-    assert verdict.p_d == DyadicProb.of(1, 2)
-    assert verdict.p_cd == DyadicProb.of(1, 4)
-    assert verdict.cov.sign == 0
+    assert verdict.correlation.p_c == DyadicProb.of(1, 2)
+    assert verdict.correlation.p_d == DyadicProb.of(1, 2)
+    assert verdict.correlation.p_cd == DyadicProb.of(1, 4)
+    assert verdict.correlation.cov.sign == 0
 
 
 def test_forest_detour_is_mutually_exclusive():
@@ -95,22 +96,22 @@ def test_forest_detour_is_mutually_exclusive():
     # opposite directions.
     verdict = forest_correlation(star(5), Triple(0, 1, 2))
     assert verdict.kind == "mutually_exclusive"
-    assert verdict.p_cd == DyadicProb.zero()
-    assert verdict.cov == SignedDyadic.of(-1, 4)
+    assert verdict.correlation.p_cd == DyadicProb.zero()
+    assert verdict.correlation.cov == SignedDyadic.of(-1, 4)
 
 
 def test_forest_cross_component_independence():
     g = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
     verdict = forest_correlation(g, Triple(0, 1, 3))
     assert verdict.kind == "independent"
-    assert verdict.p_c == DyadicProb.of(1, 1)
-    assert verdict.p_d == DyadicProb.zero()
-    assert verdict.p_cd == DyadicProb.zero()
-    assert verdict.cov.sign == 0
+    assert verdict.correlation.p_c == DyadicProb.of(1, 1)
+    assert verdict.correlation.p_d == DyadicProb.zero()
+    assert verdict.correlation.p_cd == DyadicProb.zero()
+    assert verdict.correlation.cov.sign == 0
     # Middle vertex in its own component: both events die.
     verdict = forest_correlation(g, Triple(0, 3, 1))
     assert verdict.kind == "independent"
-    assert verdict.p_c == DyadicProb.zero()
+    assert verdict.correlation.p_c == DyadicProb.zero()
 
 
 def test_rejects_graphs_with_cycles():
@@ -133,12 +134,40 @@ def test_forest_dichotomy_matches_enumeration_on_tree_set():
                     verdict = forest_correlation(g, Triple(a, s, b))
                     enumerated = TripleCorrelation.from_scaled(
                         joint[a][s], joint[s][b], joint[a][b], g.m)
-                    assert verdict.correlation() == enumerated
+                    cor = verdict.correlation
+                    assert cor == enumerated
                     if verdict.kind == "independent":
-                        assert verdict.cov.sign == 0
-                        assert verdict.p_cd.as_fraction() == (
-                            verdict.p_c.as_fraction() * verdict.p_d.as_fraction())
+                        assert cor.cov.sign == 0
+                        assert cor.p_cd.as_fraction() == (
+                            cor.p_c.as_fraction() * cor.p_d.as_fraction())
                     else:
-                        assert verdict.cov.sign == -1
-                        assert verdict.cov.as_fraction() == (
-                            -verdict.p_c.as_fraction() * verdict.p_d.as_fraction())
+                        assert cor.cov.sign == -1
+                        assert cor.cov.as_fraction() == (
+                            -cor.p_c.as_fraction() * cor.p_d.as_fraction())
+
+
+@st.composite
+def forests(draw):
+    """Labelled forests on 3..8 vertices, disconnected ones included: each
+    vertex after the first hangs off an earlier one or starts a new tree."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=v - 1)))
+        if parent is not None:
+            edges.append((label[parent], label[v]))
+    return graph_from_edges(n, edges)
+
+
+@settings(max_examples=50, deadline=None)
+@given(forests())
+@example(graph_from_edges(5, [(0, 1), (2, 3), (3, 4)]))
+@example(graph_from_edges(3, []))
+def test_forest_dichotomy_matches_exact_walk_on_random_forests(g):
+    for a in range(g.n):
+        for s in range(g.n):
+            for b in range(g.n):
+                if len({a, s, b}) == 3:
+                    t = Triple(a, s, b)
+                    assert forest_correlation(g, t).correlation == exact_correlation(g, t)

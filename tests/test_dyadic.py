@@ -21,7 +21,7 @@ def test_normal_form():
     assert DyadicProb.of(12, 6) == DyadicProb.of(3, 4)
     assert DyadicProb.of(0, 9) == DyadicProb.zero()
     assert DyadicProb.of(0, 9).exp == 0
-    assert DyadicProb.of(1 << 10, 10) == DyadicProb.one()
+    assert DyadicProb.of(1 << 10, 10) == DyadicProb.of(1, 0)
 
 
 def test_rejects_values_over_one():
@@ -45,11 +45,6 @@ def test_fraction_bridge():
     assert (p.num, p.exp) == (13, 9)
     with pytest.raises(ValueError):
         DyadicProb.from_fraction(Fraction(1, 3))
-
-
-def test_complement():
-    assert DyadicProb.of(21, 5).complement() == DyadicProb.of(11, 5)
-    assert DyadicProb.one().complement() == DyadicProb.zero()
 
 
 def test_signed_sign_matches_zero():
