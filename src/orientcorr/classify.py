@@ -24,6 +24,9 @@ from .graphs import Graph, bfs_layers, is_connected, members, neighbours, parse_
 
 MINOR_MAX_VERTICES = 10
 
+# Each class's roman name and its ClassFlags field, in print order.
+CLASSES = (("I", "class_i"), ("II", "class_ii"), ("III", "class_iii"))
+
 
 @dataclass(frozen=True)
 class ClassFlags:
@@ -105,45 +108,42 @@ def classify_stream(
     """
     check_cap(cap)
     graphs = errors = skipped = 0
-    class_counts = {"class_i": 0, "class_ii": 0, "class_iii": 0}
+    class_counts = {field: 0 for _, field in CLASSES}
     for index, raw in enumerate(lines):
         line = raw.rstrip("\r\n")
         if not line:
             continue
-        record: dict = {"type": "graph", "index": index, "graph6": line}
         try:
             g = parse_graph6(line)
         except GraphFormatError as exc:
             errors += 1
             yield {"type": "error", "index": index, "graph6": line, "error": str(exc)}
             continue
-        record["n"] = g.n
-        record["m"] = g.m
-        if g.n < 3 or not is_connected(g):
+        reason = None
+        if g.n < 3:
+            reason = "fewer than 3 vertices"
+        elif not is_connected(g):
+            reason = "disconnected"
+        else:
+            try:
+                flags = classify(g, cap=cap, threads=threads)
+            except OverCapError as exc:
+                reason = str(exc)
+        common = {"index": index, "graph6": line, "n": g.n, "m": g.m}
+        if reason is not None:
             skipped += 1
-            reason = "fewer than 3 vertices" if g.n < 3 else "disconnected"
-            yield {"type": "skipped", "index": index, "graph6": line,
-                   "n": g.n, "m": g.m, "reason": reason}
-            continue
-        try:
-            flags = classify(g, cap=cap, threads=threads)
-        except OverCapError as exc:
-            skipped += 1
-            yield {"type": "skipped", "index": index, "graph6": line,
-                   "n": g.n, "m": g.m, "reason": str(exc)}
+            yield {"type": "skipped", **common, "reason": reason}
             continue
         graphs += 1
         census = asdict(flags)
         del census["disconnected"]  # always False: disconnected graphs were skipped
-        record.update(census)
-        for key in class_counts:
-            class_counts[key] += census[key]
+        for _, field in CLASSES:
+            class_counts[field] += census[field]
+        record = {"type": "graph", **common, **census}
         if outerplanar:
             record["outerplanar"] = is_outerplanar(g)
         yield record
-    summary = {"type": "summary", "graphs": graphs, "errors": errors, "skipped": skipped}
-    summary.update(class_counts)
-    yield summary
+    yield {"type": "summary", "graphs": graphs, "errors": errors, "skipped": skipped, **class_counts}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 graph parse error, 4 enumeration
-cap exceeded, 5 a `bounds` check failed.  All exact values are printed as
+cap exceeded, 5 a `bounds` check failed, 141 stdout closed early (a broken
+pipe, as if killed by SIGPIPE).  All exact values are printed as
 decimal-digit strings or NUM/2^EXP rationals; floats appear only in display
 columns.
 """
@@ -20,35 +21,17 @@ from .errors import GraphFormatError, OverCapError
 from .graphs import Graph, Triple, parse_edge_list, parse_graph6
 from .enumeration import DEFAULT_CAP, check_cap, count_events, resolve_threads
 from . import closed_form, complete
-from .classify import classify, classify_stream, is_outerplanar
+from .classify import CLASSES, classify, classify_stream, is_outerplanar
 from .montecarlo import mc_estimate
 
 SCHEMA_VERSION = "1"
-THREADS_ENV = "ORIENTCORR_THREADS"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_OVER_CAP = 4
 EXIT_CHECK_FAILED = 5
-
-
-def _default_threads() -> int:
-    """The thread count from $ORIENTCORR_THREADS, or 1 when it is unset.
-
-    A value that is not a non-negative integer raises ValueError, which
-    main() reports as a usage error.
-    """
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
-    return value
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 def _record(command: str, **fields) -> dict:
@@ -82,12 +65,16 @@ def _emit(args, record: dict, human: str) -> None:
         print(human)
 
 
+def _open_input(path: str):
+    """The file at `path` for reading; `-` is stdin, which stays open afterwards."""
+    return nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _load_graph_triple(args) -> tuple[Graph, Triple]:
     if args.graph6 is not None:
         g = parse_graph6(args.graph6)
     else:
-        source = nullcontext(sys.stdin) if args.edges == "-" else open(args.edges)
-        with source as handle:
+        with _open_input(args.edges) as handle:
             g = parse_edge_list(handle.read())
     return g, Triple(args.a, args.s, args.b)
 
@@ -225,11 +212,8 @@ def cmd_forest(args) -> int:
 def _classify_record_human(rec: dict) -> str:
     kind = rec["type"]
     if kind == "graph":
-        flags = "".join(roman for roman, on in
-                        (("I", rec["class_i"]), ("II", rec["class_ii"]), ("III", rec["class_iii"])) if on)
-        extra = ""
-        if "outerplanar" in rec:
-            extra = f" outerplanar={rec['outerplanar']}"
+        flags = ",".join(roman for roman, field in CLASSES if rec[field])
+        extra = f" outerplanar={rec['outerplanar']}" if "outerplanar" in rec else ""
         return (f"#{rec['index']} {rec['graph6']}: n={rec['n']} m={rec['m']} "
                 f"neg={rec['neg_triples']} zero={rec['zero_triples']} pos={rec['pos_triples']} "
                 f"classes={flags or '-'}{extra}")
@@ -238,15 +222,14 @@ def _classify_record_human(rec: dict) -> str:
     if kind == "error":
         return f"#{rec['index']} {rec['graph6']}: error ({rec['error']})"
     return (f"summary: graphs={rec['graphs']} errors={rec['errors']} skipped={rec['skipped']} "
-            f"class_i={rec['class_i']} class_ii={rec['class_ii']} class_iii={rec['class_iii']}")
+            + " ".join(f"{field}={rec[field]}" for _, field in CLASSES))
 
 
 def cmd_classify(args) -> int:
     if args.stream is not None:
         if args.allow_disconnected:
             return _usage_error("classify: --allow-disconnected applies to --graph6 only")
-        source = nullcontext(sys.stdin) if args.stream == "-" else open(args.stream)
-        with source as handle:
+        with _open_input(args.stream) as handle:
             for rec in classify_stream(handle, cap=args.cap, threads=args.threads,
                                        outerplanar=args.outerplanar):
                 record = rec if rec["type"] == "summary" else _record("classify", **rec)
@@ -259,9 +242,7 @@ def cmd_classify(args) -> int:
     lines = [
         f"n = {g.n}, m = {g.m}",
         f"triples: neg={flags.neg_triples} zero={flags.zero_triples} pos={flags.pos_triples}",
-        f"class I   : {flags.class_i}",
-        f"class II  : {flags.class_ii}",
-        f"class III : {flags.class_iii}",
+        *(f"class {roman:<4}: {getattr(flags, field)}" for roman, field in CLASSES),
     ]
     if flags.disconnected:
         lines.append("note: graph is disconnected; cross-component events have probability 0")
@@ -306,10 +287,7 @@ def cmd_bounds(args) -> int:
         # renders yes/no rather than ok/FAIL.
         below = "-" if r.margin_below_5 is None else ("yes" if r.margin_below_5 else "no")
         lines.append(f"{r.n:3d}  "
-                     + "  ".join(mark(f).ljust(4) for f in
-                                 (r.single_lower_ok, r.single_upper_ok, r.joint_lower_ok,
-                                  r.joint_upper_ok, r.sum2_bound_a_ok, r.sum2_bound_b_ok,
-                                  r.sum3_bound_ok, r.margin_decreased))
+                     + "  ".join(mark(f).ljust(4) for f in r.checks())
                      + f"  {below.ljust(3)}"
                      + f"  {r.single_scaled_limit:<12.8f}"
                      + (f"  {r.joint_scaled_limit:<12.8f}" if r.joint_scaled_limit is not None else "  -"))
@@ -327,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     # in unset values afterwards.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help=f"worker threads, 0 = all cores (default: ${THREADS_ENV} or 1)")
+                        help="worker threads, 0 = all cores (default 1)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON records")
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
@@ -401,10 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "json"):
-        args.json = False
-    if not hasattr(args, "cap"):
-        args.cap = DEFAULT_CAP
+    for name, default in (("json", False), ("cap", DEFAULT_CAP), ("threads", 1)):
+        vars(args).setdefault(name, default)
     # Exact integers print in full at any size: the interpreter's limit on
     # int-to-str digits (Python 3.10.7 on) is lifted while the command runs.
     lift = hasattr(sys, "set_int_max_str_digits")
@@ -412,12 +388,20 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        if not hasattr(args, "threads"):
-            args.threads = _default_threads()
         # Checked here so that no subcommand ignores a bad global flag.
         resolve_threads(args.threads)
         check_cap(args.cap)
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here so that a reader gone early is caught below, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The Python docs' SIGPIPE recipe: send what is still buffered to
+        # devnull, so the flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

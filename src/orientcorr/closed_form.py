@@ -36,8 +36,7 @@ def cycle_triple_from_labels(n: int, a: int, s: int, b: int) -> CycleTriple:
     """Arc lengths for labeled vertices on the standard cycle 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    if len({a % n, s % n, b % n}) != 3:
-        raise ValueError(f"triple ({a}, {s}, {b}) is not distinct on the {n}-cycle")
+    Triple(a, s, b).validate(n)
     c = (s - a) % n
     d = (b - s) % n
     if c + d > n:
@@ -91,7 +90,7 @@ def _is_forest(g: Graph) -> bool:
 
 def forest_correlation(g: Graph, t: Triple) -> ForestVerdict:
     """Apply the forest dichotomy to one triple; raises on non-forests."""
-    t.validate(g)
+    t.validate(g.n)
     if not _is_forest(g):
         raise ValueError("graph has a cycle; the forest dichotomy does not apply")
     from_a = _distances(g, t.a)

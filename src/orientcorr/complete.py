@@ -194,13 +194,14 @@ class BoundRow:
     single_scaled_limit: float
     joint_scaled_limit: float | None
 
+    def checks(self) -> tuple[bool | None, ...]:
+        """The eight pass/fail verdicts in `bounds` column order; None where n is too small."""
+        return (self.single_lower_ok, self.single_upper_ok, self.joint_lower_ok,
+                self.joint_upper_ok, self.sum2_bound_a_ok, self.sum2_bound_b_ok,
+                self.sum3_bound_ok, self.margin_decreased)
+
     def all_ok(self) -> bool:
-        checks = [
-            self.single_lower_ok, self.single_upper_ok, self.joint_lower_ok,
-            self.joint_upper_ok, self.sum2_bound_a_ok, self.sum2_bound_b_ok,
-            self.sum3_bound_ok, self.margin_decreased,
-        ]
-        return all(c for c in checks if c is not None)
+        return False not in self.checks()
 
 
 def bound_report(n_max: int) -> list[BoundRow]:

@@ -281,7 +281,7 @@ def count_events(
     threads: int = 1,
 ) -> OrientationCounts:
     """Count, over all orientations, how often a->s, s->b, and both hold."""
-    t.validate(g)
+    t.validate(g.n)
     total = _walk_size(g, cap)
     n_c, n_d, n_cd = run_batches(g, total, _arange_words, partial(triple_counts, g, t),
                                  threads=threads).tolist()

@@ -64,10 +64,11 @@ class Triple:
     s: int
     b: int
 
-    def validate(self, g: Graph) -> None:
+    def validate(self, n: int) -> None:
+        """Raise ValueError unless a, s, b are distinct vertices of 0..n-1."""
         for v in (self.a, self.s, self.b):
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range for n={g.n}")
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range for n={n}")
         if len({self.a, self.s, self.b}) != 3:
             raise ValueError(f"triple {(self.a, self.s, self.b)} is not distinct")
 

@@ -95,7 +95,7 @@ def delta_method_se(count_c: int, count_d: int, count_cd: int, samples: int) -> 
 
 def mc_estimate(g: Graph, t: Triple, samples: int, seed: int, *, threads: int = 1) -> McEstimate:
     """Estimate the triple correlation from `samples` random orientations."""
-    t.validate(g)
+    t.validate(g.n)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     n_c, n_d, n_cd = run_batches(g, samples, partial(_sample_words, seed, (g.m + 63) // 64),

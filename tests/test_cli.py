@@ -28,7 +28,7 @@ from orientcorr import (
 )
 from orientcorr import complete
 from orientcorr.closed_form import CycleTriple
-from orientcorr.cli import THREADS_ENV, _default_threads, main
+from orientcorr.cli import main
 from support import diamond
 from test_complete_graph import GOLDEN_ROWS
 
@@ -283,6 +283,13 @@ def test_cycle_labels_below_three_vertices_exit_2(capsys):
     assert err == "cycle: cycle needs at least 3 vertices, got 0\n"
 
 
+def test_cycle_labels_out_of_range_exit_2(capsys):
+    # Labels are checked as `exact` checks its triple, not reduced mod n.
+    code, out, err = run_cli(capsys, ["cycle", "--n", "5", "--a", "7", "--s", "1", "--b", "3"])
+    assert (code, out) == (2, "")
+    assert err == "cycle: vertex 7 out of range for n=5\n"
+
+
 def test_cycle_labeled_form(capsys):
     _, arcs, _ = run_cli(capsys, ["cycle", "--n", "6", "--c", "2", "--d", "1"])
     _, labels, _ = run_cli(capsys, ["cycle", "--n", "6", "--a", "0", "--s", "2", "--b", "3"])
@@ -408,31 +415,12 @@ def test_bad_global_flags_exit_2_on_every_subcommand(capsys, argv, flag, value, 
 
 
 # ---------------------------------------------------------------------------
-# Flag placement, environment, stdin
+# Flag placement, stdin
 
 def test_global_flags_work_on_either_side(capsys):
     _, before, _ = run_cli(capsys, ["--json", "kn", "--n", "4"])
     _, after, _ = run_cli(capsys, ["kn", "--n", "4", "--json"])
     assert before == after
-
-
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert _default_threads() == 1
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert _default_threads() == 4
-    monkeypatch.setenv(THREADS_ENV, "0")
-    assert _default_threads() == 0
-    for bad in ("garbage", "-2", ""):
-        monkeypatch.setenv(THREADS_ENV, bad)
-        with pytest.raises(ValueError, match=THREADS_ENV):
-            _default_threads()
-        # A usage error with a message, not a traceback and not 1 thread.
-        code, out, err = run_cli(capsys, ["kn", "--n", "3"])
-        assert (code, out) == (2, "")
-        assert err == f"error: {THREADS_ENV} must be a non-negative integer, got {bad!r}\n"
-    # --threads takes precedence, so the variable is not read.
-    assert run_cli(capsys, ["kn", "--n", "3", "--threads", "1"])[0] == 0
 
 
 def test_classify_stream_stdin(capsys, monkeypatch):
@@ -457,6 +445,16 @@ def test_classify_stream_file(capsys, tmp_path):
     assert lines[0].startswith("#0 Bw:")
     assert "classes=I" in lines[0]
     assert lines[2].startswith("summary:")
+
+
+def test_classify_stream_separates_class_names(capsys, monkeypatch):
+    # The path P3 and the star K1,4 are trees, in classes I and II; every
+    # triple of K4 is independent, so it is in all three.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("BW\nD?{\nC~\n"))
+    code, out, _ = run_cli(capsys, ["classify", "--stream", "-"])
+    assert code == 0
+    assert [line.split()[-1] for line in out.splitlines()[:3]] == [
+        "classes=I,II", "classes=I,II", "classes=I,II,III"]
 
 
 def test_edges_stdin_equals_graph6(capsys, monkeypatch):
@@ -494,7 +492,10 @@ def test_consecutive_runs_are_identical(capsys, argv):
 # never regenerated from the code it checks.  The two "classify outerplanar
 # over 10 vertices" cases were rewritten when the probe lost its 10-vertex
 # cap: the census lines of the uncapped command, as printed before, plus
-# the verdict of an independent outerplanarity search.
+# the verdict of an independent outerplanarity search.  In the two human
+# "classify stream" cases only the `classes=` tokens were rewritten, when
+# the roman names gained their `,` separator: before it, classes I and II
+# printed as `III`, the name of the third class.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -524,21 +525,42 @@ def test_mc_thread_count_stable(capsys, tmp_path):
     assert single == pooled
 
 
+def _child_command() -> tuple[list[str], dict]:
+    """The command line and environment that run the CLI in a child process.
+
+    The declared entry point is the function `python -m orientcorr` runs, so
+    a checkout without the installed wrapper still exercises the same code.
+    The child imports the same copy of the package as this test.
+    """
+    script = shutil.which("orientcorr")
+    command = [script] if script else [sys.executable, "-m", "orientcorr"]
+    package_root = str(Path(orientcorr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return command, env
+
+
 def test_console_script_smoke():
-    # The declared entry point is the function `python -m orientcorr` runs, so
-    # a checkout without the installed wrapper still exercises the same code.
     # Plain text, not tomllib, which Python 3.10 lacks.
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert 'orientcorr = "orientcorr.cli:main"' in scripts.splitlines()
 
-    script = shutil.which("orientcorr")
-    command = [script] if script else [sys.executable, "-m", "orientcorr"]
-    # The child imports the same copy of the package as this test.
-    package_root = str(Path(orientcorr.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    command, env = _child_command()
     proc = subprocess.run(command + ["kn", "--n", "3"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "p_single" in proc.stdout
+
+
+def test_reader_closing_the_pipe_exits_141_quietly():
+    # The reader takes the header line and goes.  The rest of the table,
+    # about 290 KB and so past any pipe buffer, then meets a closed pipe.
+    command, env = _child_command()
+    with subprocess.Popen(command + ["table", "--max-n", "100"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().split()[0] == b"n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")

@@ -49,6 +49,10 @@ def test_labeled_derivation():
     assert (t.c, t.d) == (3, 1)
     with pytest.raises(ValueError):
         cycle_triple_from_labels(6, 1, 1, 3)
+    # Labels outside 0..n-1 are refused, not reduced mod n.
+    for labels in ((1, 8, 3), (-1, 2, 3)):
+        with pytest.raises(ValueError, match="out of range for n=6"):
+            cycle_triple_from_labels(6, *labels)
 
 
 def test_labeled_derivation_matches_enumeration():

@@ -1,5 +1,6 @@
 """Complete-graph recursions, the scaled table, and the analytic bounds."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -198,6 +199,17 @@ def test_bound_report_all_true_to_40():
     rows = bound_report(40)
     assert [r.n for r in rows] == list(range(2, 41))
     assert all(r.all_ok() for r in rows)
+
+
+def test_bound_row_checks_are_the_verdicts_in_column_order():
+    rows = bound_report(5)
+    verdicts = ("single_lower_ok", "single_upper_ok", "joint_lower_ok", "joint_upper_ok",
+                "sum2_bound_a_ok", "sum2_bound_b_ok", "sum3_bound_ok", "margin_decreased")
+    for r in rows:
+        assert r.checks() == tuple(getattr(r, name) for name in verdicts)
+    # n = 2 has no joint verdicts: None is not a failure, False is.
+    assert rows[0].checks()[2:4] == (None, None) and rows[0].all_ok()
+    assert not dataclasses.replace(rows[2], margin_decreased=False).all_ok()
 
 
 def test_margin_first_below_five_at_eight():

@@ -27,6 +27,7 @@ from orientcorr.dyadic import DyadicProb
 from orientcorr.enumeration import (
     _arange_words, _batch_size, _out_adjacency, _reach_set, batch_masks,
     batch_reach, triple_counts)
+from orientcorr.graphs import members
 from orientcorr.montecarlo import _sample_words
 from support import diamond, random_graph, star
 
@@ -166,19 +167,13 @@ def _oracle_sweeps(g, orientations):
         reach = [_reach_set(out_adj, v) for v in range(g.n)]
         into = [[] for _ in range(g.n)]
         for a, seen in enumerate(reach):
-            for s in _bits(seen):
+            for s in members(seen):
                 into[s].append(a)
         for s, outs in enumerate(reach):
             for a in into[s]:
-                for b in _bits(outs):
+                for b in members(outs):
                     joint[s][a][b] += 1
     return joint
-
-
-def _bits(x):
-    while x:
-        yield (x & -x).bit_length() - 1
-        x &= x - 1
 
 
 def _oracle_sweep(g, s, orientations):

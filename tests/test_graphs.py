@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from orientcorr import (
     GraphFormatError,
+    Triple,
     complete_graph,
     cycle_graph,
     emit_graph6,
@@ -130,3 +131,12 @@ def test_random_graphs_connectivity_matches_reference():
         for u, v in g.edges:
             parent[find(u)] = find(v)
         assert is_connected(g) == (len({find(v) for v in range(g.n)}) == 1)
+
+
+def test_triple_validate_takes_the_vertex_count():
+    Triple(0, 1, 2).validate(3)
+    for triple, message in ((Triple(0, 1, 3), "vertex 3 out of range for n=3"),
+                            (Triple(-1, 1, 2), "vertex -1 out of range for n=3"),
+                            (Triple(0, 1, 0), "not distinct")):
+        with pytest.raises(ValueError, match=message):
+            triple.validate(3)
