@@ -19,16 +19,19 @@ in one of two ways, for two kinds of traffic:
   sources per triple.  It stays: Warshall took 0.41-0.44 s against
   0.11-0.12 s on C20 `exact` and 0.49-0.50 s against 0.20-0.22 s on `mc`
   (100k samples, n = 40, m = 58).
-* from every vertex at once, by bitset Warshall on the whole (n, B) array
-  (_close_all), n vectorised steps.  sweep_sources (`classify`) reads the
-  counts of every triple (a, s, b) from it, one float32 matmul per s.  It
-  stays: a frontier from every source took 120-171 ms against 53-63 ms on
-  the `census` stream and 0.41-0.55 s against 0.25-0.26 s on K7 `classify`.
+* from every vertex at once, by bitset Warshall on bit-sliced words
+  (_sweep_all): bit j of a uint64 word stands for orientation 64 k + j, so
+  one AND acts on 64 orientations.  A batch is an (n, n, W) array whose
+  entry [x, v] says, for each of 64 W orientations, whether x reaches v.
+  sweep_sources (`classify`) reads the counts of every triple (a, s, b)
+  from it by popcount, exact int64 integers.  It stays: a frontier from
+  every source lost even to the lane-per-word Warshall that this layout
+  replaced, 120-171 ms against 53-63 ms on the `census` stream.
 
 One batch loop, run_batches, cuts the index range into power-of-two
-batches, feeds each its words (a contiguous range here, sampled bits in
-montecarlo), shares the batches among the threads and sums the per-batch
-reductions.
+batches, feeds each its words (a contiguous range of orientations or of
+64-orientation words here, sampled bits in montecarlo), shares the batches
+among the threads and sums the per-batch reductions.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ DEFAULT_CAP = 30
 # The kernel sums counts in int64, which holds a count of 2^62 words but
 # not of 2^63.
 MAX_CAP = 62
-# Bytes of (n, B) bitset arrays one batch may hold at once, at 8 bytes a lane.
+# Bytes of bitset arrays one batch may hold at once: (n, B) lanes counted at
+# 8 bytes, or the (n, n, W) words of a sweep.
 _BATCH_BYTES = 1 << 22
 
 
@@ -156,13 +160,14 @@ def batch_reach(masks: np.ndarray, source: int) -> np.ndarray:
     return reach
 
 
-def _batch_size(n: int, planes: int) -> int:
-    # The largest power of two of words whose `planes` (n, B) arrays of
-    # 8-byte lanes fit the budget, so every arange batch is an aligned
-    # block.  Lanes are 8 bytes only above n = 32, so for smaller graphs
-    # this is an upper bound.  At most 2^16 words, so per-batch float32
-    # counts in sweep_sources stay exact.
-    fit = _BATCH_BYTES // (8 * n * planes)
+def _batch_size(n: int) -> int:
+    # The largest power of two of words whose (n, B) array of 8-byte lanes
+    # fits the budget, so every arange batch is an aligned block.  Lanes
+    # are 8 bytes only above n = 32, so for smaller graphs this is an upper
+    # bound.  The clamp to [2^10, 2^16] words is kept unmeasured (ROADMAP
+    # item 5): count_events and mc_estimate sum exact int64 counts at any
+    # batch size.
+    fit = _BATCH_BYTES // (8 * n)
     return min(1 << 16, max(1 << 10, 1 << fit.bit_length() - 1))
 
 
@@ -176,44 +181,70 @@ def triple_counts(g: Graph, t: Triple, words: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _close_all(reach: np.ndarray) -> np.ndarray:
-    """Close (n, B) out-neighbour bitsets in place into reach bitsets.
+# ---------------------------------------------------------------------------
+# Bit-sliced all-sources walk: bit j of word k stands for orientation 64 k + j.
 
-    Bitset Warshall: step k ORs reach[k] into the lanes of every row that
-    reaches k, so after it each row holds what its vertex reaches through
-    vertices 0..k.  Every vertex reaches itself.
+# Bit j of plane i < 6 is bit i of j: within one word the six low edges
+# run through all 64 patterns.
+_LOW_PLANES = np.array([sum(1 << j for j in range(64) if j >> i & 1) for i in range(6)],
+                       dtype=np.uint64)
+# Bytes of one (n, n, W) array in a sweep batch: the reach planes, one
+# Warshall step's temporary and the reduce's temporaries each stay within
+# it, so together they fit the budget.  With half the budget for the
+# reach planes, the K7 sweep took 56 ms against 34 ms (2-vCPU Xeon, 2 MiB
+# L2 a core).
+_SWEEP_BYTES = _BATCH_BYTES // 4
+
+
+def _edge_planes(m: int, index: np.ndarray) -> np.ndarray:
+    """Direction planes of edges 0..m-1 over the words `index`, shape (m, W) of uint64.
+
+    Bit j of word k of plane i is bit i of orientation 64 * index[k] + j:
+    set when edge i = (u, v) points u -> v.
     """
-    n = reach.shape[0]
-    lane = reach.dtype.type
-    reach |= (lane(1) << np.arange(n, dtype=lane))[:, None]
-    scratch = np.empty_like(reach)
+    planes = np.empty((m, len(index)), dtype=np.uint64)
+    planes[:6] = _LOW_PLANES[:m, None]
+    # Edges 6 and up are constant within a word: all ones when bit i - 6 of
+    # its index is set, else all zeros.
+    high = np.arange(max(m - 6, 0), dtype=np.uint64)[:, None]
+    planes[6:] = -(index >> high & np.uint64(1))
+    return planes
+
+
+def _sweep_batch(n: int) -> int:
+    # The largest power of two of words whose (n, n, W) uint64 reach planes
+    # fit _SWEEP_BYTES.
+    fit = _SWEEP_BYTES // (8 * n * n)
+    return 1 << max(fit.bit_length() - 1, 0)
+
+
+def _sweep_all(g: Graph, index: np.ndarray) -> np.ndarray:
+    """(n, n, n) counts [s][a][b] of orientations with a -> s and s -> b, over words `index`."""
+    n = g.n
+    # A walk of m < 6 edges is the low 2^m bits of one word: the bits above
+    # repeat its orientations, so they are cleared before they are counted.
+    walk = np.uint64((1 << (1 << min(g.m, 6))) - 1)
+    # reach[x, v] has bit j of word k set when x reaches v in orientation
+    # 64 * index[k] + j.  Every vertex reaches itself.
+    reach = np.zeros((n, n, len(index)), dtype=np.uint64)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+    planes = _edge_planes(g.m, index) & walk
+    reach[u, v] = planes
+    reach[v, u] = planes ^ walk
+    diagonal = np.arange(n)
+    reach[diagonal, diagonal] = walk
+    # Bitset Warshall: after step k, x reaches v through vertices 0..k.
     for k in range(n):
-        np.right_shift(reach, lane(k), out=scratch)
-        scratch &= lane(1)
-        scratch *= reach[k]
-        reach |= scratch
-    return reach
-
-
-def _vertex_bits(sets: np.ndarray, n: int) -> np.ndarray:
-    """Vertex bitsets of any lane type as 0/1 uint8, with a last axis of n vertices."""
-    vertices = np.arange(n)
-    little = sets.astype(sets.dtype.newbyteorder("<"), copy=False)
-    octets = little.view(np.uint8).reshape(*sets.shape, sets.dtype.itemsize)
-    bits = octets[..., vertices >> 3]
-    bits >>= (vertices & 7).astype(np.uint8)
-    bits &= 1
-    return bits
-
-
-def _sweep_all(g: Graph, words: np.ndarray) -> np.ndarray:
-    """(n, n, n) counts [s][a][b] of words with a -> s and s -> b, over one batch."""
-    # bits[v, w, x] = 1 when v reaches x in word w.
-    bits = _vertex_bits(_close_all(batch_masks(g, words)), g.n)
-    joint = np.empty((g.n,) * 3, dtype=np.int64)
-    for s in range(g.n):
-        # Exact in float32: every entry is at most the batch size, 2^16 < 2^24.
-        joint[s] = bits[:, :, s].astype(np.float32) @ bits[s].astype(np.float32)
+        reach |= reach[:, k, None] & reach[None, k]
+    # joint[s, a, b] counts the bits of reach[a, s] & reach[s, b], for as
+    # many middle vertices s at a time as fit their temporary in
+    # _SWEEP_BYTES: all of them for small graphs, one for large walks.
+    joint = np.empty((n,) * 3, dtype=np.int64)
+    step = max(1, _SWEEP_BYTES // reach.nbytes)
+    for lo in range(0, n, step):
+        mid = slice(lo, lo + step)
+        both = reach[:, mid].transpose(1, 0, 2)[:, :, None] & reach[mid, None]
+        np.add.reduce(np.bitwise_count(both), axis=-1, out=joint[mid])
     return joint
 
 
@@ -227,17 +258,19 @@ def run_batches(
     reduce: Callable[[np.ndarray], np.ndarray],
     *,
     threads: int = 1,
-    planes: int = 1,
+    step: int | None = None,
 ) -> np.ndarray:
     """Sum reduce(words(lo, hi)) over batches covering [0, count).
 
-    words(lo, hi) returns the orientation words of indices lo..hi-1 and
+    words(lo, hi) returns the words of indices lo..hi-1 and
     reduce maps them to an int64 count array.  The range is cut into
-    batches sized for `planes` (n, B) lane arrays, shared among `threads`
-    threads.  The 4 MiB budget counts 8 bytes a lane, an upper bound on
-    the narrow lanes of graphs with n <= 32.
+    batches of `step` indices, shared among `threads` threads.  By default
+    a batch is as many words as one (n, B) lane array fits in the 4 MiB
+    budget at 8 bytes a lane, an upper bound on the narrow lanes of graphs
+    with n <= 32.
     """
-    step = _batch_size(g.n, planes)
+    if step is None:
+        step = _batch_size(g.n)
 
     def run(lo: int) -> np.ndarray:
         return reduce(words(lo, min(count, lo + step)))
@@ -306,11 +339,9 @@ def sweep_sources(
     vertex reaches itself, so joint[s][a][s] counts a -> s and joint[s][s][b]
     counts s -> b; callers exclude s when forming triples.
     """
-    total = _walk_size(g, cap)
-    # The closure holds two (n, B) lane planes, and its bits n/8 more; the
-    # 4 MiB budget counts 8 bytes a lane, an upper bound.
-    return run_batches(g, total, _arange_words, partial(_sweep_all, g),
-                       threads=threads, planes=2 + (g.n + 7) // 8).tolist()
+    words = -(-_walk_size(g, cap) // 64)
+    return run_batches(g, words, partial(np.arange, dtype=np.uint64), partial(_sweep_all, g),
+                       threads=threads, step=_sweep_batch(g.n)).tolist()
 
 
 def sweep_source(

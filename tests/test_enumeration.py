@@ -25,8 +25,8 @@ from orientcorr import (
 from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
 from orientcorr.enumeration import (
-    _arange_words, _batch_size, _out_adjacency, _reach_set, batch_masks,
-    batch_reach, triple_counts)
+    _arange_words, _batch_size, _edge_planes, _out_adjacency, _reach_set, _sweep_batch,
+    batch_masks, batch_reach, triple_counts)
 from orientcorr.graphs import members
 from orientcorr.montecarlo import _sample_words
 from support import diamond, random_graph, star
@@ -282,15 +282,42 @@ def test_sample_range_replays_through_scalar_mix64(seed, start, count, order):
 
 
 def test_every_chunking_and_thread_count_agrees(monkeypatch):
+    # m = 8: 256 orientations for count_events, 4 words of 64 for sweep_sources.
     g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     t = Triple(0, 3, 5)
     reference = count_events(g, t, threads=1)
     joints = sweep_sources(g, threads=1)
     for size in (1, 3, 32, 100, 1 << 16):
-        monkeypatch.setattr(enumeration, "_batch_size", lambda n, planes, size=size: size)
+        monkeypatch.setattr(enumeration, "_batch_size", lambda n, size=size: size)
+        monkeypatch.setattr(enumeration, "_sweep_batch", lambda n, size=size: size)
         for threads in (1, 2, 3, 8):
             assert count_events(g, t, threads=threads) == reference
             assert sweep_sources(g, threads=threads) == joints
+
+
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("lo", [0, 1, 5])
+def test_edge_planes_hold_bit_i_of_each_orientation(m, lo):
+    # Bit j of word k of edge i's plane is bit i of orientation 64 (lo + k) + j,
+    # as _out_adjacency reads that orientation.
+    g = path_graph(m + 1)
+    planes = _edge_planes(m, np.arange(lo, lo + 3, dtype=np.uint64))
+    assert planes.shape == (m, 3) and planes.dtype == np.uint64
+    for k, words in enumerate(planes.T.tolist()):
+        for j in range(64):
+            out = _out_adjacency(g, 64 * (lo + k) + j)
+            for i, (u, v) in enumerate(g.edges):
+                assert words[i] >> j & 1 == out[u] >> v & 1
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_sub_word_walks_match_the_oracle(m):
+    # Walks of m < 6 edges fill only part of their one 64-orientation word.
+    # Vertex 5 is isolated, and m = 0 is the edgeless graph, whose only
+    # counts come from every vertex reaching itself.
+    pairs = [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (1, 4), (0, 2)]
+    g = graph_from_edges(6, pairs[:m])
+    assert sweep_sources(g) == _oracle_sweeps(g, range(1 << m))
 
 
 def test_sweep_source_matches_per_triple_counts():
@@ -319,12 +346,10 @@ def test_sweep_source_rejects_a_vertex_out_of_range():
 
 
 def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
-    # m = 17 gives 8 batches of 2^14 words at n = 7, so a thread count
+    # K7 has 2^15 words of 64 orientations, 16 batches, so a thread count
     # above 1 runs them on a pool of that many workers, one pool per walk.
-    g = graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
-                             if (u, v) not in {(0, 1), (2, 3), (4, 5), (0, 6)}])
-    assert g.m == 17
-    assert (1 << g.m) // _batch_size(g.n, 3) == 8
+    g = complete_graph(7)
+    assert (1 << g.m - 6) // _sweep_batch(g.n) == 16
     pools = []
 
     class RecordingPool(enumeration.ThreadPoolExecutor):
@@ -337,7 +362,7 @@ def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
     for k in (2, 3):
         assert sweep_sources(g, threads=k) == reference
     assert pools == [2, 3]
-    assert classify(g, threads=4) == classify(g, threads=1)
+    assert classify(g, threads=2) == classify(g, threads=1)
 
 
 def test_cap_over_62_is_rejected_up_front():
@@ -357,7 +382,9 @@ def test_cap_over_62_is_rejected_up_front():
 def test_batch_size_is_an_aligned_power_of_two():
     # Arange batches then start on multiples of their own size.
     for n in range(1, 63):
-        for planes in (1, 3):
-            size = _batch_size(n, planes)
-            assert size & (size - 1) == 0
-            assert 1 << 10 <= size <= 1 << 16
+        size = _batch_size(n)
+        assert size & (size - 1) == 0
+        assert 1 << 10 <= size <= 1 << 16
+        words = _sweep_batch(n)
+        assert words & (words - 1) == 0
+        assert 8 * n * n * words <= enumeration._SWEEP_BYTES

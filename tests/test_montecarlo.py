@@ -84,7 +84,7 @@ def test_thread_split_is_invisible(monkeypatch):
     g = diamond()
     t = Triple(0, 2, 1)
     base = mc_estimate(g, t, 10_001, 5, threads=1)
-    monkeypatch.setattr(enumeration, "_batch_size", lambda n, planes: 97)
+    monkeypatch.setattr(enumeration, "_batch_size", lambda n: 97)
     for threads in (2, 4, 8):
         again = mc_estimate(g, t, 10_001, 5, threads=threads)
         assert again == base

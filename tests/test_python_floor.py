@@ -4,10 +4,12 @@ Python 3.10 is the declared minimum (pyproject's requires-python), but the
 suite may run on a newer interpreter.  ast.parse with feature_version
 rejects syntax newer than 3.10, such as `except*` or type parameter lists.
 This checks grammar only: a stdlib function or type added after 3.10 still
-passes here.
+passes here.  The numpy floor is declared twice, in pyproject and in the
+CI install step, and the two must agree.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -19,3 +21,10 @@ SOURCES = sorted([*(ROOT / "src" / "orientcorr").rglob("*.py"), *(ROOT / "tests"
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_parses_under_python_3_10_grammar(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_numpy_floor_is_the_same_in_pyproject_and_ci():
+    floors = [re.findall(r'"numpy>=([0-9.]+)"', (ROOT / path).read_text(encoding="utf-8"))
+              for path in ("pyproject.toml", ".github/workflows/tier1.yml")]
+    assert len(floors[0]) == 1
+    assert floors[0] == floors[1]
