@@ -5,33 +5,33 @@ canonical sorted edge list is directed u -> v, clear means v -> u.  All
 counts are exact integers, so chunked or threaded runs aggregate to the
 same numbers as a single pass regardless of how the range is split.
 
-The batch kernel evaluates many orientation words at once.  For a batch of
-B words it builds per-vertex out-neighbour bitsets of shape (n, B), one
-lane per word (batch_masks).  A lane is the narrowest unsigned integer
-that holds n bits: uint8 up to n = 8, uint16 to 16, uint32 to 32, else
-uint64, so small graphs move a quarter or an eighth of the bytes.  The
-orientation words themselves stay uint64.  The kernel closes reachability
-in one of two ways, for two kinds of traffic:
+The batch kernel is bit-sliced: bit j of a uint64 word stands for
+orientation (or Monte Carlo sample) 64 k + j, so one AND acts on 64 of
+them.  A batch of W words is a pair (planes, live): plane i, a (W,) row of
+an (m, W) array, has a bit set where edge i = (u, v) points u -> v, and
+live marks the bits that are real orientations (all but the unused part of
+the one word of an m < 6 walk, or the tail of the last sample word).  The
+kernel closes reachability in one of two ways, for two kinds of traffic:
 
-* from one source, by frontier expansion (batch_reach): each step ORs in
-  masks[v] on the lanes whose frontier holds v, O(n) word operations per
-  orientation.  count_events (`exact`) and montecarlo (`mc`) need two
-  sources per triple.  It stays: Warshall took 0.41-0.44 s against
-  0.11-0.12 s on C20 `exact` and 0.49-0.50 s against 0.20-0.22 s on `mc`
-  (100k samples, n = 40, m = 58).
-* from every vertex at once, by bitset Warshall on bit-sliced words
-  (_sweep_all): bit j of a uint64 word stands for orientation 64 k + j, so
-  one AND acts on 64 orientations.  A batch is an (n, n, W) array whose
-  entry [x, v] says, for each of 64 W orientations, whether x reaches v.
-  sweep_sources (`classify`) reads the counts of every triple (a, s, b)
-  from it by popcount, exact int64 integers.  It stays: a frontier from
-  every source lost even to the lane-per-word Warshall that this layout
-  replaced, 120-171 ms against 53-63 ms on the `census` stream.
+* from the two sources of one triple, by arc relaxation (_relax): a sweep
+  carries what a reaches and what s reaches across every edge, the way it
+  points, and sweeps repeat until one changes nothing.  count_events
+  (`exact`) and montecarlo (`mc`) use it.  It stays: Warshall for one triple
+  took 8.5-9.9 ms against 3.7-4.2 ms on C16 and 0.29 s against 0.05 s on
+  C20.
+* from every vertex at once, by bitset Warshall (_sweep_all) on an
+  (n, n, W) array whose entry [x, v] says, for each of 64 W orientations,
+  whether x reaches v.  sweep_sources (`classify`) reads the counts of
+  every triple (a, s, b) from it.  It stays: a frontier from every source
+  took 120-171 ms against 53-63 ms on the `census` stream.
 
-One batch loop, run_batches, cuts the index range into power-of-two
-batches, feeds each its words (a contiguous range of orientations or of
-64-orientation words here, sampled bits in montecarlo), shares the batches
-among the threads and sums the per-batch reductions.
+Both reduce by popcount into exact int64 integers.  One batch loop,
+run_batches, cuts the words into batches, builds each batch's live mask,
+feeds it its planes (a contiguous range of orientations here, sampled bits
+in montecarlo), shares the batches among the threads and sums the
+per-batch reductions.  A triple batch is the largest power of two of words,
+at most 2^10, whose arrays each fit a 4 MiB budget; a sweep batch, the
+largest whose (n, n, W) reach array fits 1 MiB.
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ import numpy as np
 
 from .dyadic import TripleCorrelation
 from .errors import OverCapError
-from .graphs import Graph, Triple, bfs_layers, members
+from .graphs import Graph, Triple, bfs_layers
 
 DEFAULT_CAP = 30
 # The kernel sums counts in int64, which holds a count of 2^62 words but
 # not of 2^63.
 MAX_CAP = 62
-# Bytes of bitset arrays one batch may hold at once: (n, B) lanes counted at
-# 8 bytes, or the (n, n, W) words of a sweep.
+# Bytes of bitset arrays one batch may hold at once: each array of a triple
+# batch, or the (n, n, W) reach words of a sweep and their temporaries.
 _BATCH_BYTES = 1 << 22
 
 
@@ -104,85 +104,7 @@ def reachable(g: Graph, orientation: int, source: int, target: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitset batch kernel.
-
-def _lane(n: int) -> type[np.unsignedinteger]:
-    """The narrowest unsigned integer type that holds a set of n vertices.
-
-    Kernel arithmetic on the lanes takes lane-typed scalars: under NEP 50 a
-    np.uint64 operand would widen a narrower array back to 8 bytes a lane.
-    """
-    for lane in (np.uint8, np.uint16, np.uint32):
-        if n <= 8 * np.dtype(lane).itemsize:
-            return lane
-    return np.uint64
-
-
-def batch_masks(g: Graph, words: np.ndarray) -> np.ndarray:
-    """Out-neighbour bitsets of every vertex, shape (n, B), for B words.
-
-    words has shape (B, W) of uint64; edge i takes bit i % 64 of column
-    i // 64, read here as bit i % 8 of octet i // 8.  The bitsets come in
-    the narrowest lane type that holds n bits.  The complemented words
-    ~words reverse every edge, so they give the in-neighbour bitsets.
-    """
-    lane = _lane(g.n)
-    # Octet k of every word in one contiguous row: a strided column read
-    # per edge cost about twice as much.
-    octets = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
-    masks = np.zeros((g.n, words.shape[0]), dtype=lane)
-    for i, (u, v) in enumerate(g.edges):
-        fwd = octets[i >> 3] >> (i & 7) & 1
-        masks[u] |= fwd * lane(1 << v)
-        masks[v] |= (fwd ^ 1) * lane(1 << u)
-    return masks
-
-
-def batch_reach(masks: np.ndarray, source: int) -> np.ndarray:
-    """Bitset of the vertices reachable from source, one lane of masks' type per word."""
-    lane = masks.dtype.type
-    reach = np.full(masks.shape[1], 1 << source, dtype=lane)
-    frontier = reach.copy()
-    grown = np.empty_like(reach)
-    scratch = np.empty_like(reach)
-    live = 1 << source  # vertices in the frontier of at least one word
-    while live:
-        grown.fill(0)
-        for v in members(live):
-            np.right_shift(frontier, lane(v), out=scratch)
-            scratch &= lane(1)
-            scratch *= masks[v]
-            grown |= scratch
-        np.invert(reach, out=scratch)
-        np.bitwise_and(grown, scratch, out=frontier)
-        reach |= frontier
-        live = int(np.bitwise_or.reduce(frontier))
-    return reach
-
-
-def _batch_size(n: int) -> int:
-    # The largest power of two of words whose (n, B) array of 8-byte lanes
-    # fits the budget, so every arange batch is an aligned block.  Lanes
-    # are 8 bytes only above n = 32, so for smaller graphs this is an upper
-    # bound.  The clamp to [2^10, 2^16] words is kept unmeasured (ROADMAP
-    # item 5): count_events and mc_estimate sum exact int64 counts at any
-    # batch size.
-    fit = _BATCH_BYTES // (8 * n)
-    return min(1 << 16, max(1 << 10, 1 << fit.bit_length() - 1))
-
-
-def triple_counts(g: Graph, t: Triple, words: np.ndarray) -> np.ndarray:
-    """[#a->s, #s->b, #both] over a batch of orientation words."""
-    masks = batch_masks(g, words)
-    lane = masks.dtype.type
-    c = batch_reach(masks, t.a) >> lane(t.s) & lane(1)
-    d = batch_reach(masks, t.s) >> lane(t.b) & lane(1)
-    return np.array([np.count_nonzero(c), np.count_nonzero(d), np.count_nonzero(c & d)],
-                    dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Bit-sliced all-sources walk: bit j of word k stands for orientation 64 k + j.
+# Bit-sliced batches: bit j of word k stands for orientation (or sample) 64 k + j.
 
 # Bit j of plane i < 6 is bit i of j: within one word the six low edges
 # run through all 64 patterns.
@@ -196,19 +118,30 @@ _LOW_PLANES = np.array([sum(1 << j for j in range(64) if j >> i & 1) for i in ra
 _SWEEP_BYTES = _BATCH_BYTES // 4
 
 
-def _edge_planes(m: int, index: np.ndarray) -> np.ndarray:
-    """Direction planes of edges 0..m-1 over the words `index`, shape (m, W) of uint64.
+def _edge_planes(m: int, lo: int, hi: int) -> np.ndarray:
+    """Direction planes of edges 0..m-1 over words lo..hi-1, shape (m, hi - lo) of uint64.
 
-    Bit j of word k of plane i is bit i of orientation 64 * index[k] + j:
+    Bit j of word k of plane i is bit i of orientation 64 * (lo + k) + j:
     set when edge i = (u, v) points u -> v.
     """
-    planes = np.empty((m, len(index)), dtype=np.uint64)
+    planes = np.empty((m, hi - lo), dtype=np.uint64)
     planes[:6] = _LOW_PLANES[:m, None]
     # Edges 6 and up are constant within a word: all ones when bit i - 6 of
     # its index is set, else all zeros.
     high = np.arange(max(m - 6, 0), dtype=np.uint64)[:, None]
-    planes[6:] = -(index >> high & np.uint64(1))
+    planes[6:] = -(np.arange(lo, hi, dtype=np.uint64) >> high & np.uint64(1))
     return planes
+
+
+def _batch_words(n: int, m: int) -> int:
+    # The largest power of two of words, at most 2^10 (2^16 orientations or
+    # samples), for which each array of a triple batch fits the budget: the
+    # m planes and 2n reach rows of a word, or the 64 ceil(m / 64) words
+    # that sampling draws for it.  Budgeting their sum instead halves the
+    # batch of K62 `mc`, which then took 106-116 ms against 62-68 ms at 10k
+    # samples (in process, median of 5, 2-vCPU Xeon).
+    fit = _BATCH_BYTES // (8 * max(m + 2 * n, 64 * -(-m // 64)))
+    return min(1 << 10, 1 << fit.bit_length() - 1)
 
 
 def _sweep_batch(n: int) -> int:
@@ -218,21 +151,41 @@ def _sweep_batch(n: int) -> int:
     return 1 << max(fit.bit_length() - 1, 0)
 
 
-def _sweep_all(g: Graph, index: np.ndarray) -> np.ndarray:
-    """(n, n, n) counts [s][a][b] of orientations with a -> s and s -> b, over words `index`."""
+def _relax(g: Graph, t: Triple, planes: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """[#a->s, #s->b, #both] over one batch, by arc relaxation from a and from s."""
+    # reach[x] holds the orientations in which a reaches x (row 0) and those
+    # in which s does (row 1): one contiguous block a vertex, which the
+    # arcs read and write whole.  A sweep carries both rows across every
+    # edge, in index order, the way the edge points.  An arc met before
+    # its tail was reached needs another sweep, so sweeps repeat until one
+    # changes nothing.
+    reach = np.zeros((g.n, 2, len(live)), dtype=np.uint64)
+    reach[t.a, 0] = live
+    reach[t.s, 1] = live
+    arcs = list(zip(g.edges, planes, planes ^ live))
+    while True:
+        before = reach.copy()
+        for (u, v), fwd, back in arcs:
+            reach[v] |= reach[u] & fwd
+            reach[u] |= reach[v] & back
+        if np.array_equal(before, reach):
+            break
+    c, d = reach[t.s, 0], reach[t.b, 1]
+    return np.bitwise_count(np.stack([c, d, c & d])).sum(axis=1, dtype=np.int64)
+
+
+def _sweep_all(g: Graph, planes: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """(n, n, n) counts [s][a][b] of orientations with a -> s and s -> b, over one batch."""
     n = g.n
-    # A walk of m < 6 edges is the low 2^m bits of one word: the bits above
-    # repeat its orientations, so they are cleared before they are counted.
-    walk = np.uint64((1 << (1 << min(g.m, 6))) - 1)
     # reach[x, v] has bit j of word k set when x reaches v in orientation
-    # 64 * index[k] + j.  Every vertex reaches itself.
-    reach = np.zeros((n, n, len(index)), dtype=np.uint64)
+    # 64 k + j of the batch.  Every vertex reaches itself.
+    reach = np.zeros((n, n, len(live)), dtype=np.uint64)
     u, v = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
-    planes = _edge_planes(g.m, index) & walk
+    planes = planes & live
     reach[u, v] = planes
-    reach[v, u] = planes ^ walk
+    reach[v, u] = planes ^ live
     diagonal = np.arange(n)
-    reach[diagonal, diagonal] = walk
+    reach[diagonal, diagonal] = live
     # Bitset Warshall: after step k, x reaches v through vertices 0..k.
     for k in range(n):
         reach |= reach[:, k, None] & reach[None, k]
@@ -252,30 +205,30 @@ def _sweep_all(g: Graph, index: np.ndarray) -> np.ndarray:
 # The batch loop shared by every exhaustive walk and by Monte Carlo.
 
 def run_batches(
-    g: Graph,
     count: int,
-    words: Callable[[int, int], np.ndarray],
-    reduce: Callable[[np.ndarray], np.ndarray],
+    planes: Callable[[int, int], np.ndarray],
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
+    step: int,
     threads: int = 1,
-    step: int | None = None,
 ) -> np.ndarray:
-    """Sum reduce(words(lo, hi)) over batches covering [0, count).
+    """Sum reduce(planes(lo, hi), live) over `count` orientations or samples, 64 a word.
 
-    words(lo, hi) returns the words of indices lo..hi-1 and
-    reduce maps them to an int64 count array.  The range is cut into
-    batches of `step` indices, shared among `threads` threads.  By default
-    a batch is as many words as one (n, B) lane array fits in the 4 MiB
-    budget at 8 bytes a lane, an upper bound on the narrow lanes of graphs
-    with n <= 32.
+    planes(lo, hi) returns the (m, hi - lo) edge planes of words lo..hi-1
+    and reduce maps them to an int64 count array.  live marks the bits of
+    those words that lie below `count`: all of them but the tail of the
+    last word, so a reduce counts nothing outside it.  The words are cut
+    into batches of `step`, shared among `threads` threads.
     """
-    if step is None:
-        step = _batch_size(g.n)
+    words = -(-count // 64)
 
     def run(lo: int) -> np.ndarray:
-        return reduce(words(lo, min(count, lo + step)))
+        hi = min(words, lo + step)
+        live = np.full(hi - lo, ~np.uint64(0))
+        live[-1] = (1 << min(64, count - 64 * (hi - 1))) - 1
+        return reduce(planes(lo, hi), live)
 
-    starts = range(0, count, step)
+    starts = range(0, words, step)
     threads = min(resolve_threads(threads), len(starts))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -283,8 +236,17 @@ def run_batches(
     return sum(map(run, starts))
 
 
-def _arange_words(lo: int, hi: int) -> np.ndarray:
-    return np.arange(lo, hi, dtype=np.uint64)[:, None]
+def triple_counts(
+    g: Graph,
+    t: Triple,
+    count: int,
+    planes: Callable[[int, int], np.ndarray],
+    *,
+    threads: int = 1,
+) -> list[int]:
+    """[#a->s, #s->b, #both] over `count` orientations or samples, 64 a word."""
+    return run_batches(count, planes, partial(_relax, g, t), step=_batch_words(g.n, g.m),
+                       threads=threads).tolist()
 
 
 def check_cap(cap: int) -> None:
@@ -316,8 +278,7 @@ def count_events(
     """Count, over all orientations, how often a->s, s->b, and both hold."""
     t.validate(g.n)
     total = _walk_size(g, cap)
-    n_c, n_d, n_cd = run_batches(g, total, _arange_words, partial(triple_counts, g, t),
-                                 threads=threads).tolist()
+    n_c, n_d, n_cd = triple_counts(g, t, total, partial(_edge_planes, g.m), threads=threads)
     return OrientationCounts(m=g.m, n_c=n_c, n_d=n_d, n_cd=n_cd)
 
 
@@ -339,9 +300,8 @@ def sweep_sources(
     vertex reaches itself, so joint[s][a][s] counts a -> s and joint[s][s][b]
     counts s -> b; callers exclude s when forming triples.
     """
-    words = -(-_walk_size(g, cap) // 64)
-    return run_batches(g, words, partial(np.arange, dtype=np.uint64), partial(_sweep_all, g),
-                       threads=threads, step=_sweep_batch(g.n)).tolist()
+    return run_batches(_walk_size(g, cap), partial(_edge_planes, g.m), partial(_sweep_all, g),
+                       step=_sweep_batch(g.n), threads=threads).tolist()
 
 
 def sweep_source(

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .enumeration import run_batches, triple_counts
+from .enumeration import triple_counts
 from .graphs import Graph, Triple, graph_from_edges
 
 _MASK64 = (1 << 64) - 1
@@ -80,6 +80,21 @@ def _sample_words(seed: int, nwords: int, lo: int, hi: int) -> np.ndarray:
     return _mix64_batch(seed, counters + np.arange(nwords, dtype=np.uint64))
 
 
+def _sample_planes(seed: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """Edge planes of samples 64 lo .. 64 hi - 1, shape (m, hi - lo) of uint64.
+
+    Bit j of word k of plane i is bit i of sample 64 (lo + k) + j.
+    """
+    words = _sample_words(seed, -(-m // 64), 64 * lo, 64 * hi)
+    # Octet k of every sample in one contiguous row: edge i is bit i % 8 of
+    # row i // 8.  A strided column read per edge cost about twice as much.
+    octets = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
+    planes = np.empty((m, 8 * (hi - lo)), dtype=np.uint8)
+    for i, plane in enumerate(planes):
+        plane[:] = np.packbits(octets[i >> 3] >> (i & 7) & 1, bitorder="little")
+    return planes.view("<u8")
+
+
 def delta_method_se(count_c: int, count_d: int, count_cd: int, samples: int) -> float:
     q11 = count_cd / samples
     q10 = (count_c - count_cd) / samples
@@ -98,8 +113,8 @@ def mc_estimate(g: Graph, t: Triple, samples: int, seed: int, *, threads: int = 
     t.validate(g.n)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    n_c, n_d, n_cd = run_batches(g, samples, partial(_sample_words, seed, (g.m + 63) // 64),
-                                 partial(triple_counts, g, t), threads=threads).tolist()
+    n_c, n_d, n_cd = triple_counts(g, t, samples, partial(_sample_planes, seed, g.m),
+                                   threads=threads)
     return McEstimate(
         samples=samples,
         seed=seed,

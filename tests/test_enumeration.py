@@ -1,5 +1,6 @@
 """Exhaustive orientation counting: goldens, invariants, the batch kernel."""
 
+from itertools import permutations
 import random
 
 import numpy as np
@@ -25,10 +26,10 @@ from orientcorr import (
 from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
 from orientcorr.enumeration import (
-    _arange_words, _batch_size, _edge_planes, _out_adjacency, _reach_set, _sweep_batch,
-    batch_masks, batch_reach, triple_counts)
+    _batch_words, _edge_planes, _out_adjacency, _reach_set, _sweep_batch, run_batches,
+    triple_counts)
 from orientcorr.graphs import members
-from orientcorr.montecarlo import _sample_words
+from orientcorr.montecarlo import _sample_planes
 from support import diamond, random_graph, star
 
 
@@ -202,8 +203,8 @@ def small_graphs_with_triple(draw):
 @st.composite
 def sparse_with_top_triple(draw, n):
     # n vertices with few edges, all among a handful of vertices that
-    # include the top one, n - 1, which is a, s or b: so the top bit of
-    # the bitset lanes takes part.
+    # include the top one, n - 1, which is a, s or b: so the last row of
+    # the reach arrays takes part.
     top = n - 1
     others = sorted(draw(st.sets(st.integers(min_value=0, max_value=top - 1),
                                  min_size=2, max_size=5)))
@@ -222,29 +223,20 @@ def sparse_with_top_triple(draw, n):
 @example((graph_from_edges(5, [(0, 1), (1, 2), (0, 2)]), Triple(0, 1, 2)))  # isolated 3 and 4
 @example((graph_from_edges(4, [(0, 1), (1, 3)]), Triple(2, 1, 3)))  # isolated source
 @example((graph_from_edges(62, [(0, 61), (30, 61), (0, 30)]), Triple(0, 61, 30)))
+# Sourced at its top vertex, a path's arcs point against edge order: each
+# sweep carries reach one edge further, so one sweep is not enough.
+@example((path_graph(7), Triple(6, 3, 0)))
+@example((graph_from_edges(3, []), Triple(0, 1, 2)))  # edgeless: one orientation
 def test_kernel_matches_reachable_oracle(case):
     _check_against_oracle(*case)
 
 
-# Each side of every lane width: uint8 up to n = 8, uint16 to 16, uint32 to 32.
+# Sparse graphs on each side of 8, 16 and 32 vertices, the top vertex in the triple.
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_oracle_at_lane_boundaries(n, data):
     _check_against_oracle(*data.draw(sparse_with_top_triple(n)))
-
-
-@pytest.mark.parametrize("n, lane", [(8, np.uint8), (9, np.uint16), (16, np.uint16),
-                                     (17, np.uint32), (32, np.uint32), (33, np.uint64),
-                                     (62, np.uint64)])
-def test_lanes_are_the_narrowest_type_holding_n_bits(n, lane):
-    # A stray np.uint64 operand would widen narrow lanes back to 8 bytes:
-    # still correct, but slow, so only the dtype shows it.
-    g = graph_from_edges(n, [(0, n - 1), (1, n - 1)])
-    for words in (_arange_words(0, 8), _sample_words(7, 1, 0, 8)):
-        masks = batch_masks(g, words)
-        assert masks.dtype == lane
-        assert batch_reach(masks, n - 1).dtype == lane
 
 
 def test_kernel_matches_oracle_on_seeded_graphs():
@@ -257,28 +249,35 @@ def test_kernel_matches_oracle_on_seeded_graphs():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
-       start=st.integers(min_value=0, max_value=1 << 32),
-       count=st.integers(min_value=1, max_value=4),
+       start=st.integers(min_value=0, max_value=1 << 26),
+       count=st.integers(min_value=1, max_value=130),
        order=st.permutations(range(12)))
 def test_sample_range_replays_through_scalar_mix64(seed, start, count, order):
-    # K12 has 66 edges: two 64-bit words per sample, edge i on bit i % 64
-    # of word i // 64.  Nearly every orientation of K12 has both paths, so
-    # the counts alone would not see a misplaced bit: the kernel's
-    # out- and in-neighbour bitsets are compared with the replayed
-    # orientation too.
+    # Samples 64 start .. 64 start + count - 1, up to three words of 64
+    # with the last one partial.  K12 has 66 edges: two 64-bit mix64 words
+    # per sample, edge i on bit i % 64 of word i // 64.  Nearly every
+    # orientation of K12 has both paths, so the counts alone would not see
+    # a misplaced bit: every plane bit and the live mask are compared with
+    # the replayed samples too.
     g = complete_graph(12)
     t = Triple(*order[:3])
     orientations = [mix64(seed, 2 * j) | mix64(seed, 2 * j + 1) << 64
-                    for j in range(start, start + count)]
+                    for j in range(64 * start, 64 * start + count)]
     into, outof, joint = _oracle_sweep(g, t.s, orientations)
-    expect = [into[t.a], outof[t.b], joint[t.a][t.b]]
-    words = _sample_words(seed, 2, start, start + count)
-    assert triple_counts(g, t, words).tolist() == expect
-    out_adj = [_out_adjacency(g, word) for word in orientations]
-    assert batch_masks(g, words).T.tolist() == out_adj
-    in_adj = [[sum(1 << u for u in range(g.n) if out[u] >> v & 1) for v in range(g.n)]
-              for out in out_adj]
-    assert batch_masks(g, ~words).T.tolist() == in_adj
+
+    def planes(lo, hi):
+        return _sample_planes(seed, g.m, start + lo, start + hi)
+
+    assert triple_counts(g, t, count, planes) == [into[t.a], outof[t.b], joint[t.a][t.b]]
+    batches = []
+    run_batches(count, planes, lambda *batch: batches.append(batch) or 0, step=1 << 10)
+    [(words, live)] = batches
+    assert words.shape == (g.m, -(-count // 64))
+    live = int.from_bytes(live.astype("<u8").tobytes(), "little")
+    assert live == (1 << count) - 1
+    words = [int.from_bytes(plane.astype("<u8").tobytes(), "little") for plane in words]
+    for j, orientation in enumerate(orientations):
+        assert [plane >> j & 1 for plane in words] == [orientation >> i & 1 for i in range(g.m)]
 
 
 def test_every_chunking_and_thread_count_agrees(monkeypatch):
@@ -288,7 +287,7 @@ def test_every_chunking_and_thread_count_agrees(monkeypatch):
     reference = count_events(g, t, threads=1)
     joints = sweep_sources(g, threads=1)
     for size in (1, 3, 32, 100, 1 << 16):
-        monkeypatch.setattr(enumeration, "_batch_size", lambda n, size=size: size)
+        monkeypatch.setattr(enumeration, "_batch_words", lambda n, m, size=size: size)
         monkeypatch.setattr(enumeration, "_sweep_batch", lambda n, size=size: size)
         for threads in (1, 2, 3, 8):
             assert count_events(g, t, threads=threads) == reference
@@ -301,7 +300,7 @@ def test_edge_planes_hold_bit_i_of_each_orientation(m, lo):
     # Bit j of word k of edge i's plane is bit i of orientation 64 (lo + k) + j,
     # as _out_adjacency reads that orientation.
     g = path_graph(m + 1)
-    planes = _edge_planes(m, np.arange(lo, lo + 3, dtype=np.uint64))
+    planes = _edge_planes(m, lo, lo + 3)
     assert planes.shape == (m, 3) and planes.dtype == np.uint64
     for k, words in enumerate(planes.T.tolist()):
         for j in range(64):
@@ -317,7 +316,12 @@ def test_sub_word_walks_match_the_oracle(m):
     # counts come from every vertex reaching itself.
     pairs = [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (1, 4), (0, 2)]
     g = graph_from_edges(6, pairs[:m])
-    assert sweep_sources(g) == _oracle_sweeps(g, range(1 << m))
+    joints = _oracle_sweeps(g, range(1 << m))
+    assert sweep_sources(g) == joints
+    for a, s, b in permutations(range(g.n), 3):
+        counts = count_events(g, Triple(a, s, b))
+        assert (counts.n_c, counts.n_d, counts.n_cd) == (joints[s][a][s], joints[s][s][b],
+                                                         joints[s][a][b])
 
 
 def test_sweep_source_matches_per_triple_counts():
@@ -380,11 +384,16 @@ def test_cap_over_62_is_rejected_up_front():
 
 
 def test_batch_size_is_an_aligned_power_of_two():
-    # Arange batches then start on multiples of their own size.
+    # Word ranges then start on multiples of their own size.  A triple batch
+    # is the largest power of two of words, at most 2^10, whose planes and
+    # reach rows, and whose sampled words, each fit the budget.
     for n in range(1, 63):
-        size = _batch_size(n)
-        assert size & (size - 1) == 0
-        assert 1 << 10 <= size <= 1 << 16
+        for m in range(n * (n - 1) // 2 + 1):
+            words = _batch_words(n, m)
+            assert words & (words - 1) == 0
+            per_word = 8 * max(m + 2 * n, 64 * -(-m // 64))
+            assert per_word * words <= enumeration._BATCH_BYTES
+            assert words == 1 << 10 or 2 * per_word * words > enumeration._BATCH_BYTES
         words = _sweep_batch(n)
         assert words & (words - 1) == 0
         assert 8 * n * n * words <= enumeration._SWEEP_BYTES

@@ -79,15 +79,31 @@ def test_multi_word_bit_alignment():
 
 
 def test_thread_split_is_invisible(monkeypatch):
-    # Batches of 97 samples give 104 batches, so every thread count starts
-    # a pool; the reference is the default single batch on one thread.
+    # 10,001 samples are 157 words of 64, the last holding 17.  Batches of
+    # 1, 3 and 97 words all end in that partial word, and every thread
+    # count starts a pool; the reference is the default single batch on
+    # one thread.
     g = diamond()
     t = Triple(0, 2, 1)
     base = mc_estimate(g, t, 10_001, 5, threads=1)
-    monkeypatch.setattr(enumeration, "_batch_size", lambda n: 97)
-    for threads in (2, 4, 8):
-        again = mc_estimate(g, t, 10_001, 5, threads=threads)
-        assert again == base
+    for size in (1, 3, 97):
+        monkeypatch.setattr(enumeration, "_batch_words", lambda n, m, size=size: size)
+        for threads in (2, 4, 8):
+            again = mc_estimate(g, t, 10_001, 5, threads=threads)
+            assert again == base
+
+
+@pytest.mark.parametrize("samples", [1, 63, 65, 200])
+def test_partial_last_word_replays_through_scalar_mix64(samples):
+    # Samples fill 64-sample words, and only the first `samples` bits of the
+    # last word count: the rest of it is drawn but masked off.
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+    t = Triple(0, 2, 4)
+    c = [reachable(g, mix64(11, j), t.a, t.s) for j in range(samples)]
+    d = [reachable(g, mix64(11, j), t.s, t.b) for j in range(samples)]
+    est = mc_estimate(g, t, samples, 11)
+    assert (est.count_c, est.count_d, est.count_cd) == (
+        sum(c), sum(d), sum(x and y for x, y in zip(c, d)))
 
 
 def test_seed_changes_the_stream():
