@@ -27,7 +27,6 @@ from .enumeration import (
     OrientationCounts,
     count_events,
     exact_correlation,
-    reachable,
     sweep_source,
     sweep_sources,
 )
@@ -69,6 +68,6 @@ __all__ = [
     "gnp_generate", "graph_from_edges", "has_minor", "is_connected",
     "is_outerplanar", "joint_unreachable_prob", "mc_estimate", "mix64",
     "parse_dyadic", "parse_edge_list", "parse_graph6", "path_graph",
-    "reachable", "relative_covariance", "sign_margin", "sweep_source",
-    "sweep_sources", "table_row", "triple_binomial_sum", "unreachable_prob",
+    "relative_covariance", "sign_margin", "sweep_source", "sweep_sources",
+    "table_row", "triple_binomial_sum", "unreachable_prob",
 ]

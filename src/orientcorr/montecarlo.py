@@ -50,13 +50,6 @@ def mix64(seed: int, counter: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_batch(seed: int, counters: np.ndarray) -> np.ndarray:
-    x = (np.uint64(seed & _MASK64) + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Sampled joint law of the two path events, with exact cell counts."""
@@ -76,8 +69,19 @@ class McEstimate:
 
 def _sample_words(seed: int, nwords: int, lo: int, hi: int) -> np.ndarray:
     """The (hi - lo, nwords) orientation words of samples lo..hi-1."""
-    counters = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(nwords)
-    return _mix64_batch(seed, counters + np.arange(nwords, dtype=np.uint64))
+    # Word w of sample j takes counter j * nwords + w: counters lo * nwords
+    # .. hi * nwords - 1 in order, so x starts as one range of counter + 1
+    # and is mixed in place.
+    x = np.arange(lo * nwords + 1, hi * nwords + 1, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
+    x *= np.uint64(_MIX1)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x *= np.uint64(_MIX2)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x.reshape(hi - lo, nwords)
 
 
 def _sample_planes(seed: int, m: int, lo: int, hi: int) -> np.ndarray:

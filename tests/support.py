@@ -9,6 +9,7 @@ from functools import lru_cache
 from math import comb
 
 from orientcorr import Graph, graph_from_edges, path_graph
+from orientcorr.graphs import bfs_layers
 
 
 def diamond() -> Graph:
@@ -71,6 +72,33 @@ def tree_corpus(minimum: int = 50) -> list[Graph]:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+# The walk's pure-Python oracle: one orientation word at a time, the
+# reference the bit-sliced kernel in orientcorr.enumeration is tested
+# against.  Bit i of the word set means edge i = (u, v) points u -> v.
+
+def out_adjacency(g: Graph, orientation: int) -> list[int]:
+    out = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        if orientation >> i & 1:
+            out[u] |= 1 << v
+        else:
+            out[v] |= 1 << u
+    return out
+
+
+def reach_set(out_adj: list[int], source: int) -> int:
+    """Bitset of vertices reachable from source by forward frontier expansion."""
+    return sum(bfs_layers(out_adj, 1 << source))
+
+
+def reachable(g: Graph, orientation: int, source: int, target: int) -> bool:
+    """Is there a directed path source -> target under this orientation word?
+
+    Only the low m bits of the word are meaningful.
+    """
+    return bool(reach_set(out_adjacency(g, orientation), source) >> target & 1)
 
 
 # Reference forms of the complete-graph recursions and auxiliary sums, kept

@@ -15,22 +15,22 @@ from orientcorr import (
     classify,
     complete_graph,
     count_events,
+    cycle_graph,
     exact_correlation,
+    forest_correlation,
     graph_from_edges,
     mix64,
     path_graph,
-    reachable,
     sweep_source,
     sweep_sources,
 )
 from orientcorr import enumeration
 from orientcorr.dyadic import DyadicProb
 from orientcorr.enumeration import (
-    _batch_words, _edge_planes, _out_adjacency, _reach_set, _sweep_batch, run_batches,
-    triple_counts)
+    _batch_words, _edge_planes, _sweep_batch, run_batches, triple_counts)
 from orientcorr.graphs import members
 from orientcorr.montecarlo import _sample_planes
-from support import diamond, random_graph, star
+from support import diamond, out_adjacency, random_graph, reach_set, reachable, star
 
 
 def test_diamond_positive_labeling():
@@ -158,14 +158,14 @@ def test_joint_bounded_by_marginals():
 def _oracle_sweeps(g, orientations):
     """joint[s][a][b] counts of a -> s and s -> b, from the one-word reach sets.
 
-    Each word's reach sets come from `_reach_set`, the pure-Python walk
+    Each word's reach sets come from `reach_set`, the pure-Python walk
     behind `reachable`; the loops run over set bits only, so the sparse
     n = 62 graphs stay cheap.
     """
     joint = [[[0] * g.n for _ in range(g.n)] for _ in range(g.n)]
     for word in orientations:
-        out_adj = _out_adjacency(g, word)
-        reach = [_reach_set(out_adj, v) for v in range(g.n)]
+        out_adj = out_adjacency(g, word)
+        reach = [reach_set(out_adj, v) for v in range(g.n)]
         into = [[] for _ in range(g.n)]
         for a, seen in enumerate(reach):
             for s in members(seen):
@@ -190,6 +190,12 @@ def _check_against_oracle(g, t):
     assert (counts.n_c, counts.n_d, counts.n_cd) == (into[t.a], outof[t.b], joint[t.a][t.b])
     assert sweep_source(g, t.s) == (into, outof, joint)
     assert sweep_sources(g) == _oracle_sweeps(g, words)
+
+
+# a = 0 and s = 1 at BFS distance 0; 2..4 at 1..3 out from 0, then back in
+# through 5 and 6, out again through 7 and 8 and in through 9 and 10.
+ZIGZAG = graph_from_edges(11, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (6, 7), (7, 8),
+                               (8, 9), (9, 10), (10, 1)])
 
 
 @st.composite
@@ -223,12 +229,37 @@ def sparse_with_top_triple(draw, n):
 @example((graph_from_edges(5, [(0, 1), (1, 2), (0, 2)]), Triple(0, 1, 2)))  # isolated 3 and 4
 @example((graph_from_edges(4, [(0, 1), (1, 3)]), Triple(2, 1, 3)))  # isolated source
 @example((graph_from_edges(62, [(0, 61), (30, 61), (0, 30)]), Triple(0, 61, 30)))
-# Sourced at its top vertex, a path's arcs point against edge order: each
-# sweep carries reach one edge further, so one sweep is not enough.
-@example((path_graph(7), Triple(6, 3, 0)))
+@example((path_graph(7), Triple(6, 3, 0)))  # sourced at its top vertex
+# When 1 -> 6, a zig-zag is the one a -> s path: out from {a, s} by BFS
+# distance, back in, out and in again, so no two sweeps find it.
+@example((ZIGZAG, Triple(0, 1, 8)))
+# a cannot reach the 4-cycle 3..6, which holds b: its edges carry nothing.
+@example((graph_from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+          Triple(0, 1, 5)))
 @example((graph_from_edges(3, []), Triple(0, 1, 2)))  # edgeless: one orientation
 def test_kernel_matches_reachable_oracle(case):
     _check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("t", [Triple(24, 12, 0), Triple(0, 12, 24)])
+def test_long_path_sourced_at_an_end_matches_the_forest_law(t):
+    # 2^24 orientations are past the pure-Python oracle, and a path is a
+    # tree, so the forest dichotomy is the oracle.  From either end, a -> s
+    # runs out from {a, s} by BFS distance and back in.
+    g = path_graph(25)
+    assert exact_correlation(g, t) == forest_correlation(g, t).correlation
+
+
+def test_alternating_sweeps_close_a_cycle_in_five(monkeypatch):
+    # On C16 from a = 0 with s opposite, each path runs out from {a, s} and
+    # back in.  Sweeps that alternate direction take one sweep a turn and
+    # close every batch in 5; sweeps that all run outward took 13.
+    sweeps = []
+    close = enumeration._close
+    monkeypatch.setattr(enumeration, "_close",
+                        lambda arcs, reach: sweeps.append(close(arcs, reach)) or sweeps[-1])
+    count_events(cycle_graph(16), Triple(0, 8, 4))
+    assert sweeps == [5]
 
 
 # Sparse graphs on each side of 8, 16 and 32 vertices, the top vertex in the triple.
@@ -298,13 +329,13 @@ def test_every_chunking_and_thread_count_agrees(monkeypatch):
 @pytest.mark.parametrize("lo", [0, 1, 5])
 def test_edge_planes_hold_bit_i_of_each_orientation(m, lo):
     # Bit j of word k of edge i's plane is bit i of orientation 64 (lo + k) + j,
-    # as _out_adjacency reads that orientation.
+    # as out_adjacency reads that orientation.
     g = path_graph(m + 1)
     planes = _edge_planes(m, lo, lo + 3)
     assert planes.shape == (m, 3) and planes.dtype == np.uint64
     for k, words in enumerate(planes.T.tolist()):
         for j in range(64):
-            out = _out_adjacency(g, 64 * (lo + k) + j)
+            out = out_adjacency(g, 64 * (lo + k) + j)
             for i, (u, v) in enumerate(g.edges):
                 assert words[i] >> j & 1 == out[u] >> v & 1
 

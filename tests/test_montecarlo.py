@@ -16,11 +16,10 @@ from orientcorr import (
     graph_from_edges,
     mc_estimate,
     mix64,
-    reachable,
 )
 from orientcorr import enumeration
-from orientcorr.montecarlo import _mix64_batch
-from support import diamond
+from orientcorr.montecarlo import _sample_words
+from support import diamond, reachable
 
 # Frozen outputs of the generator for seed 42, counters 0..3.  These pin the
 # bit stream itself: any change to the mixing constants breaks reproducibility
@@ -41,8 +40,20 @@ def test_mix64_frozen_outputs():
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
        st.integers(min_value=0, max_value=(1 << 40)))
 def test_mix64_batch_matches_scalar(seed, counter):
-    batch = _mix64_batch(seed, np.array([counter], dtype=np.uint64))
-    assert int(batch[0]) == mix64(seed, counter)
+    [[word]] = _sample_words(seed, 1, counter, counter + 1).tolist()
+    assert word == mix64(seed, counter)
+
+
+@pytest.mark.parametrize("nwords", [1, 2, 3])
+def test_sample_words_are_the_broadcast_counter_grid(nwords):
+    # Word w of sample j is mix64 of counter j * nwords + w: the (samples, 1)
+    # + (nwords,) grid of counters the words were first drawn from, here
+    # for samples 2^40 .. 2^40 + 99, with a seed that wraps the sum.
+    seed, lo, hi = (1 << 64) - 3, 1 << 40, (1 << 40) + 100
+    grid = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(nwords) + np.arange(
+        nwords, dtype=np.uint64)
+    expect = [[mix64(seed, counter) for counter in row] for row in grid.tolist()]
+    assert _sample_words(seed, nwords, lo, hi).tolist() == expect
 
 
 def test_single_edge_bit_alignment():
