@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyadic import SignedDyadic, TripleCorrelation
-from .graphs import Graph, Triple, bfs_layers, members
+from .graphs import Graph, Triple, components, distances
 
 
 @dataclass(frozen=True)
@@ -70,38 +70,21 @@ class ForestVerdict:
     correlation: TripleCorrelation
 
 
-def _distances(g: Graph, source: int) -> list[int | None]:
-    dist: list[int | None] = [None] * g.n
-    for level, layer in enumerate(bfs_layers(g.adjacency, 1 << source)):
-        for v in members(layer):
-            dist[v] = level
-    return dist
-
-
-def _is_forest(g: Graph) -> bool:
-    # A forest has n - (number of components) edges; count components by BFS.
-    components = 0
-    unseen = (1 << g.n) - 1
-    while unseen:
-        components += 1
-        unseen -= sum(bfs_layers(g.adjacency, unseen & -unseen))
-    return g.m == g.n - components
-
-
 def forest_correlation(g: Graph, t: Triple) -> ForestVerdict:
     """Apply the forest dichotomy to one triple; raises on non-forests."""
     t.validate(g.n)
-    if not _is_forest(g):
+    # A forest has n - (number of components) edges.
+    if g.m != g.n - components(g.adjacency):
         raise ValueError("graph has a cycle; the forest dichotomy does not apply")
-    from_a = _distances(g, t.a)
-    d_as = from_a[t.s]
-    d_sb = _distances(g, t.s)[t.b]
+    from_a = distances(g.adjacency, 1 << t.a)
+    d_as = from_a.get(t.s)
+    d_sb = distances(g.adjacency, 1 << t.s).get(t.b)
     # Both events over 2^e: P(a->s) = 2^-d_as and P(s->b) = 2^-d_sb, or 0
     # when a component boundary separates the pair.
     e = (d_as or 0) + (d_sb or 0)
     n_c = 0 if d_as is None else 1 << (d_sb or 0)
     n_d = 0 if d_sb is None else 1 << (d_as or 0)
-    if n_c == 0 or n_d == 0 or from_a[t.b] == e:
+    if n_c == 0 or n_d == 0 or from_a.get(t.b) == e:
         # An event that cannot happen, or a unique a-b path running through
         # s (the two events use disjoint edge sets): independence.
         return ForestVerdict("independent", TripleCorrelation.from_scaled(n_c, n_d, (n_c * n_d) >> e, e))

@@ -117,13 +117,33 @@ def bfs_layers(adjacency: Sequence[int], start: int, within: int = -1) -> Iterat
         seen |= frontier
 
 
+def distances(adjacency: Sequence[int], start: int) -> dict[int, int]:
+    """BFS distance from the vertex set `start` of each vertex it reaches."""
+    return {v: d for d, layer in enumerate(bfs_layers(adjacency, start)) for v in members(layer)}
+
+
+def components(adjacency: Sequence[int]) -> int:
+    """The number of connected components of an undirected adjacency."""
+    count = 0
+    unseen = (1 << len(adjacency)) - 1
+    while unseen:
+        count += 1
+        unseen -= sum(bfs_layers(adjacency, unseen & -unseen))
+    return count
+
+
 def is_connected(g: Graph) -> bool:
-    return sum(bfs_layers(g.adjacency, 1)) == (1 << g.n) - 1
+    return components(g.adjacency) == 1
 
 
 # graph6 byte layout: header byte 63+n, then the upper triangle of the
-# adjacency matrix in column-major order (pairs (0,1),(0,2),(1,2),(0,3),...),
-# packed big-endian into 6-bit groups, each offset by 63.
+# adjacency matrix in column-major order (_graph6_pairs), packed big-endian
+# into 6-bit groups, each offset by 63.
+
+def _graph6_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs in graph6 bit order: (0,1),(0,2),(1,2),(0,3),..."""
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
 
 def parse_graph6(text: str) -> Graph:
     line = text.rstrip("\r\n")
@@ -152,21 +172,11 @@ def parse_graph6(text: str) -> Graph:
     for offset, bit in enumerate(bits[nbits:]):
         if bit:
             raise GraphFormatError(f"byte {1 + (nbits + offset) // 6}: nonzero padding bit")
-    edges = []
-    pos = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[pos]:
-                edges.append((u, v))
-            pos += 1
-    return graph_from_edges(n, edges)
+    return graph_from_edges(n, [pair for pair, bit in zip(_graph6_pairs(n), bits) if bit])
 
 
 def emit_graph6(g: Graph) -> str:
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
+    bits = [int(g.has_edge(u, v)) for u, v in _graph6_pairs(g.n)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(63 + g.n)]

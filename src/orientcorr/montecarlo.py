@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .enumeration import triple_counts
-from .graphs import Graph, Triple, graph_from_edges
+from .graphs import MAX_VERTICES, Graph, Triple, graph_from_edges
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -139,11 +139,8 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     threshold = math.floor(Fraction(p) * (1 << 64))
-    edges = []
-    counter = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mix64(seed, counter) < threshold:
-                edges.append((u, v))
-            counter += 1
-    return graph_from_edges(n, edges)
+    # No pairs past the vertex cap, so graph_from_edges rejects n before any draw.
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)] if n <= MAX_VERTICES else []
+    # As Python ints, so p = 1 keeps every pair against a threshold of 2^64.
+    words = _sample_words(seed, 1, 0, len(pairs)).ravel().tolist()
+    return graph_from_edges(n, [pair for pair, word in zip(pairs, words) if word < threshold])

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterable, Sequence
 
 from orientcorr import Graph, graph_from_edges, path_graph
 from orientcorr.graphs import bfs_layers
@@ -72,6 +74,35 @@ def tree_corpus(minimum: int = 50) -> list[Graph]:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+# Plain-Python BFS, one vertex at a time: the reference for the bitset
+# walks in orientcorr.graphs and for the tree distances of the forest law.
+
+def ref_distances(adjacency: Sequence[int], sources: Iterable[int]) -> dict[int, int]:
+    """Distance from the vertices `sources` of each vertex they reach.
+
+    adjacency[x] is the bitset of x's neighbours (or out-neighbours).
+    """
+    dist = {v: 0 for v in sources}
+    queue = deque(dist)
+    while queue:
+        x = queue.popleft()
+        for y in range(len(adjacency)):
+            if adjacency[x] >> y & 1 and y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def ref_components(adjacency: Sequence[int]) -> int:
+    seen: set[int] = set()
+    count = 0
+    for v in range(len(adjacency)):
+        if v not in seen:
+            count += 1
+            seen |= ref_distances(adjacency, [v]).keys()
+    return count
 
 
 # The walk's pure-Python oracle: one orientation word at a time, the

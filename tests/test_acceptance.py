@@ -31,7 +31,7 @@ from orientcorr import (
     unreachable_prob,
 )
 from orientcorr.cli import main
-from support import diamond, tree_corpus
+from support import diamond, ref_distances, tree_corpus
 from test_complete_graph import GOLDEN_ROWS
 
 K5_EDGES = "5\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5))
@@ -107,24 +107,6 @@ def test_criterion_05_cycle_closed_form(report):
                   "cov <= -(1/2)^(2n), tight exactly when c=d=1")
 
 
-def _tree_distances(g, source):
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            row = g.adjacency[v]
-            w = 0
-            while row:
-                if row & 1 and w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-                row >>= 1
-                w += 1
-        frontier = nxt
-    return dist
-
-
 def test_criterion_06_forest_dichotomy(report):
     trees = tree_corpus()
     ok = len(trees) >= 50
@@ -132,9 +114,9 @@ def test_criterion_06_forest_dichotomy(report):
         joints = sweep_sources(g)
         for s in range(g.n):
             joint = joints[s]
-            from_s = _tree_distances(g, s)
+            from_s = ref_distances(g.adjacency, [s])
             for a in range(g.n):
-                from_a = _tree_distances(g, a)
+                from_a = ref_distances(g.adjacency, [a])
                 for b in range(g.n):
                     if len({a, s, b}) != 3:
                         continue

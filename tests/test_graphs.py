@@ -17,8 +17,8 @@ from orientcorr import (
     parse_graph6,
     path_graph,
 )
-from orientcorr.graphs import MAX_VERTICES, members
-from support import random_graph, star
+from orientcorr.graphs import MAX_VERTICES, components, distances, members
+from support import random_graph, ref_components, ref_distances, star
 
 
 # Hand-decoded goldens: 'D?{' unpacks to bits 000000 111100 over the pair
@@ -62,9 +62,12 @@ def test_parse_errors(bad, fragment):
     assert fragment in str(err.value)
 
 
-def test_single_vertex_roundtrip():
-    g = graph_from_edges(1, [])
-    assert parse_graph6(emit_graph6(g)) == g
+def test_every_graph_on_at_most_5_vertices_roundtrips():
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+            assert parse_graph6(emit_graph6(g)) == g
 
 
 @settings(max_examples=120)
@@ -131,6 +134,28 @@ def test_random_graphs_connectivity_matches_reference():
         for u, v in g.edges:
             parent[find(u)] = find(v)
         assert is_connected(g) == (len({find(v) for v in range(g.n)}) == 1)
+
+
+@st.composite
+def graphs_and_starts(draw):
+    """A graph on 1..12 vertices, often a forest, and one or two start vertices."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # A forest: each vertex hangs off an earlier one, or starts a tree.
+        parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+        edges = [(u, v) for v, u in enumerate(parents, 1) if u >= 0]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return graph_from_edges(n, edges), draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+
+
+@given(graphs_and_starts())
+def test_distances_and_components_match_a_plain_bfs(case):
+    g, start = case
+    assert distances(g.adjacency, sum(1 << v for v in start)) == ref_distances(g.adjacency, start)
+    assert components(g.adjacency) == ref_components(g.adjacency)
+    assert is_connected(g) == (ref_components(g.adjacency) == 1)
 
 
 def test_triple_validate_takes_the_vertex_count():

@@ -1,6 +1,7 @@
 """Seeded sampling: fixed generator outputs, determinism, statistical sanity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orientcorr import (
+    GraphFormatError,
     Triple,
     complete_graph,
     delta_method_se,
@@ -18,6 +20,7 @@ from orientcorr import (
     mix64,
 )
 from orientcorr import enumeration
+from orientcorr.graphs import MAX_VERTICES
 from orientcorr.montecarlo import _sample_words
 from support import diamond, reachable
 
@@ -180,6 +183,25 @@ def test_gnp_extremes():
     assert full == complete_graph(9)
     with pytest.raises(ValueError):
         gnp_generate(5, 1.5, 0)
+
+
+@given(st.integers(1, MAX_VERTICES),
+       st.sampled_from([0.0, 2.0 ** -60, 1 - 2.0 ** -53, 1.0]) | st.floats(0.0, 1.0),
+       st.integers(-(1 << 70), -1) | st.integers(0, (1 << 64) - 1) | st.integers(1 << 64, 1 << 70))
+def test_gnp_replays_through_scalar_mix64(n, p, seed):
+    # Candidate t is the t-th pair u < v in canonical order, kept when its
+    # word mix64(seed, t) is below floor(p 2^64).
+    threshold = math.floor(Fraction(p) * (1 << 64))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    expect = tuple(pair for t, pair in enumerate(pairs) if mix64(seed, t) < threshold)
+    assert gnp_generate(n, p, seed).edges == expect
+
+
+def test_gnp_rejects_a_vertex_count_before_drawing():
+    # 2^40 vertices would ask for about 2^79 candidate words.
+    for n in (0, MAX_VERTICES + 1, 1 << 40):
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            gnp_generate(n, 0.5, 0)
 
 
 def test_gnp_edge_count_plausible():

@@ -5,14 +5,17 @@ suite may run on a newer interpreter.  ast.parse with feature_version
 rejects syntax newer than 3.10, such as `except*` or type parameter lists.
 This checks grammar only: a stdlib function or type added after 3.10 still
 passes here.  The numpy floor is declared once, in pyproject, which the CI
-install step reads by installing the package.
+install step reads by installing the package, and which one CI job reads
+back to install numpy at exactly that version.
 """
 
 import ast
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "orientcorr").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
@@ -29,4 +32,19 @@ def test_numpy_floor_is_the_same_in_pyproject_and_ci():
     assert len(re.findall(r'"numpy>=[0-9.]+"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))) == 1
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert 'run: python -m pip install ".[test]"' in [line.strip() for line in workflow.splitlines()]
-    assert "numpy>=" not in workflow
+    # No version number of its own: the floor job reads it from pyproject.
+    assert not re.search(r"numpy[<>=!~]=[0-9]", workflow)
+
+
+def test_ci_installs_numpy_at_the_floor_it_reads_from_pyproject():
+    [floor] = re.findall(r'"numpy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    job = workflow["jobs"]["tier1"]
+    assert {"python-version": "3.10", "numpy": "floor"} in job["strategy"]["matrix"]["include"]
+    [step] = [step for step in job["steps"] if step.get("if") == "matrix.numpy == 'floor'"]
+    # The pinned version is a command substitution over pyproject.toml;
+    # run that command and check it prints the floor.
+    [command] = re.fullmatch(r'python -m pip install "numpy==\$\((.+)\)"', step["run"].strip()).groups()
+    assert "pyproject.toml" in command
+    printed = subprocess.run(["sh", "-c", command], cwd=ROOT, capture_output=True, text=True, check=True)
+    assert printed.stdout == floor + "\n"
