@@ -266,10 +266,10 @@ def _block_is_outerplanar(adjacency: Sequence[int], block: int) -> bool:
     sided: set[tuple[int, int]] = set()
     degree_two = [v for v, b in nbrs.items() if b.bit_count() == 2]
     while k > 2:
-        # Degrees never fall below 2 while k > 2, so a stale entry is one
-        # whose vertex is gone.
-        while degree_two and degree_two[-1] not in nbrs:
-            degree_two.pop()
+        # No entry goes stale: degrees never rise, since uw takes v's place
+        # at both ends, and the block stays biconnected, so they stay at 2
+        # or more while k > 2.  A vertex enters degree_two once, on falling
+        # to 2, and leaves only when it is reduced.
         if not degree_two:
             return False
         v = degree_two.pop()

@@ -36,13 +36,9 @@ _C_MARGIN_1 = Fraction(32, 5)           # 6.4
 _C_MARGIN_2 = Fraction(256, 25)         # 10.24
 
 
-def _pairs(m: int) -> int:
-    return m * (m - 1) // 2
-
-
 def _scaled(value: Fraction, n: int) -> int:
     """value * 2^C(n,2) for a value whose denominator divides 2^C(n,2): a shifted numerator."""
-    return value.numerator << (_pairs(n) + 1 - value.denominator.bit_length())
+    return value.numerator << (comb(n, 2) + 1 - value.denominator.bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -55,10 +51,10 @@ def unreachable_prob(n: int, k: int) -> Fraction:
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
     w = n - k - 1
-    total = sum(comb(w, i - k) << (_pairs(i) + _pairs(n - i)) for i in range(k, n))
-    total -= sum(comb(w, j - k - 1) * _scaled(unreachable_prob(j, k), j) << _pairs(n - j)
+    total = sum(comb(w, i - k) << (comb(i, 2) + comb(n - i, 2)) for i in range(k, n))
+    total -= sum(comb(w, j - k - 1) * _scaled(unreachable_prob(j, k), j) << comb(n - j, 2)
                  for j in range(k + 1, n))
-    return DyadicProb.of(total, _pairs(n)).as_fraction()
+    return DyadicProb.of(total, comb(n, 2)).as_fraction()
 
 
 @lru_cache(maxsize=None)
@@ -69,11 +65,11 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
     if n < k + 2:
         raise ValueError(f"need n >= k+2, got n={n}, k={k}")
     w = n - k - 2
-    total = sum(comb(w, i - k) * _scaled(unreachable_prob(n - i, 1), n - i) << _pairs(i)
+    total = sum(comb(w, i - k) * _scaled(unreachable_prob(n - i, 1), n - i) << comb(i, 2)
                 for i in range(n - 2, k - 1, -1))
-    total -= sum(comb(w, j - k - 2) * _scaled(joint_unreachable_prob(j, k), j) << _pairs(n - j)
+    total -= sum(comb(w, j - k - 2) * _scaled(joint_unreachable_prob(j, k), j) << comb(n - j, 2)
                  for j in range(k + 2, n))
-    return DyadicProb.of(total, _pairs(n)).as_fraction()
+    return DyadicProb.of(total, comb(n, 2)).as_fraction()
 
 
 def relative_covariance(n: int) -> Fraction:

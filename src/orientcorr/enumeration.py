@@ -33,8 +33,8 @@ run_batches, cuts the words into batches, builds each batch's live mask,
 feeds it its planes (a contiguous range of orientations here, sampled bits
 in montecarlo), shares the batches among the threads and sums the
 per-batch reductions.  A triple batch is the largest power of two of words,
-at most 2^10, whose arrays each fit a 4 MiB budget; a sweep batch, the
-largest whose (n, n, W) reach array fits 1 MiB.
+at most 2^10, whose m edge planes and 2n reach rows fit a 4 MiB budget; a
+sweep batch, the largest whose (n, n, W) reach array fits 1 MiB.
 """
 
 from __future__ import annotations
@@ -114,12 +114,11 @@ def _edge_planes(m: int, lo: int, hi: int) -> np.ndarray:
 
 def _batch_words(n: int, m: int) -> int:
     # The largest power of two of words, at most 2^10 (2^16 orientations or
-    # samples), for which each array of a triple batch fits the budget: the
-    # m planes and 2n reach rows of a word, or the 64 ceil(m / 64) words
-    # that sampling draws for it.  Budgeting their sum instead halves the
-    # batch of K62 `mc`, which then took 106-116 ms against 62-68 ms at 10k
-    # samples (in process, median of 5, 2-vCPU Xeon).
-    fit = _BATCH_BYTES // (8 * max(m + 2 * n, 64 * -(-m // 64)))
+    # samples), whose m planes and 2n reach rows fit the budget.  The
+    # 64 ceil(m / 64) words that sampling draws for a word fit it too: they
+    # outnumber m + 2n only when n <= 31, so m <= 465 and they are at most
+    # 512 a word, 4 MiB at the 2^10 ceiling, which then sets the batch.
+    fit = _BATCH_BYTES // (8 * (m + 2 * n))
     return min(1 << 10, 1 << fit.bit_length() - 1)
 
 

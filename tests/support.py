@@ -11,6 +11,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from orientcorr import Graph, graph_from_edges, path_graph
+from orientcorr.cli import main
 from orientcorr.graphs import bfs_layers
 
 
@@ -74,6 +75,13 @@ def tree_corpus(minimum: int = 50) -> list[Graph]:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in process: its exit code, stdout and stderr."""
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 # Plain-Python BFS, one vertex at a time: the reference for the bitset

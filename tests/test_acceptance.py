@@ -30,8 +30,7 @@ from orientcorr import (
     sweep_sources,
     unreachable_prob,
 )
-from orientcorr.cli import main
-from support import diamond, ref_distances, tree_corpus
+from support import diamond, ref_distances, run_cli, tree_corpus
 from test_complete_graph import GOLDEN_ROWS
 
 K5_EDGES = "5\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5))
@@ -45,12 +44,6 @@ def report(capsys):
             print(f"[{status}] criterion {num}: {detail}")
         assert ok, f"criterion {num}: {detail}"
     return _report
-
-
-def run_cli(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def test_criterion_01_scaled_table(report, capsys):

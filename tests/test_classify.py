@@ -195,13 +195,15 @@ def test_minor_search_bounds():
         has_minor(path_graph(11), complete_graph(4))
 
 
-def test_outerplanar_all_four_vertex_graphs():
-    # On 4 vertices the only obstruction is being K4 itself.
-    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    for mask in range(64):
-        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-        g = graph_from_edges(4, edges)
-        assert is_outerplanar(g) == (g.m < 6)
+def test_outerplanar_every_graph_on_at_most_5_vertices():
+    # All 1,099 labelled graphs on 1-5 vertices: every placement of both
+    # minimal obstructions, K4 and K2,3, with or without more edges.
+    k4, k23 = complete_graph(4), k2(3)
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+            assert is_outerplanar(g) == (not has_minor(g, k4) and not has_minor(g, k23)), g
 
 
 def test_outerplanar_goldens():

@@ -29,17 +29,11 @@ from orientcorr import (
 from orientcorr import complete
 from orientcorr.closed_form import CycleTriple
 from orientcorr.cli import main
-from support import diamond
+from support import diamond, run_cli
 from test_complete_graph import GOLDEN_ROWS
 
 K4_G6 = "C~"
 DIAMOND_EDGES = "4\n0 2\n0 3\n1 2\n1 3\n2 3\n"
-
-
-def run_cli(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +45,8 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, ["cycle", "--n", "5", "--c", "0", "--d", "2"])[0] == 2
     assert run_cli(capsys, ["cycle", "--n", "5"])[0] == 2
     assert run_cli(capsys, ["cycle", "--n", "5", "--c", "1", "--a", "0"])[0] == 2
+    assert run_cli(capsys, ["cycle", "--n", "5", "--a", "0"]) == (
+        2, "", "cycle: all of --a/--s/--b are required\n")
 
 
 def test_mc_zero_samples_exits_2(capsys, tmp_path):
@@ -511,8 +507,8 @@ def test_output_matches_frozen_snapshot(capsys, monkeypatch, case):
 ], ids=lambda a: " ".join(a))
 def test_thread_count_does_not_change_output(capsys, argv):
     single = run_cli(capsys, argv + ["--threads", "1"])
-    pooled = run_cli(capsys, argv + ["--threads", "8"])
-    assert single == pooled
+    for threads in ("8", "0"):
+        assert run_cli(capsys, argv + ["--threads", threads]) == single
 
 
 def test_mc_thread_count_stable(capsys, tmp_path):

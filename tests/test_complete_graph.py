@@ -59,6 +59,8 @@ def test_base_cases():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
+        unreachable_prob(0, 0)
+    with pytest.raises(ValueError):
         unreachable_prob(3, 3)
     with pytest.raises(ValueError):
         joint_unreachable_prob(3, 2)

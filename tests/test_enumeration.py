@@ -323,6 +323,10 @@ def test_every_chunking_and_thread_count_agrees(monkeypatch):
         for threads in (1, 2, 3, 8):
             assert count_events(g, t, threads=threads) == reference
             assert sweep_sources(g, threads=threads) == joints
+    # 0 means every core, and one when the core count is unknown.
+    for cores, expected in ((3, 3), (None, 1)):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda cores=cores: cores)
+        assert enumeration.resolve_threads(0) == expected
 
 
 @pytest.mark.parametrize("m", range(9))

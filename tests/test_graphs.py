@@ -36,6 +36,10 @@ def test_k3_golden():
     g = parse_graph6("Bw")
     assert g.n == 3
     assert g.edges == ((0, 1), (0, 2), (1, 2))
+    # K3 is also the smallest cycle.
+    assert cycle_graph(3) == g
+    with pytest.raises(GraphFormatError, match="at least 3 vertices, got 2"):
+        cycle_graph(2)
 
 
 def test_k4_well_known_encoding():
