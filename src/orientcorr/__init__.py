@@ -9,9 +9,9 @@ classifier that sorts graphs by which covariance signs their triples attain.
 """
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal, parse_dyadic
-from .errors import GraphFormatError, OverCapError
 from .graphs import (
     Graph,
+    GraphFormatError,
     Triple,
     complete_graph,
     cycle_graph,
@@ -25,6 +25,7 @@ from .graphs import (
 from .enumeration import (
     DEFAULT_CAP,
     OrientationCounts,
+    OverCapError,
     count_events,
     exact_correlation,
     sweep_source,

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .enumeration import DEFAULT_CAP, check_cap, sweep_sources
-from .errors import GraphFormatError, OverCapError
-from .graphs import Graph, bfs_layers, is_connected, members, neighbours, parse_graph6
+from .enumeration import DEFAULT_CAP, OverCapError, check_cap, sweep_sources
+from .graphs import Graph, GraphFormatError, bfs_layers, is_connected, members, neighbours, parse_graph6
 
 MINOR_MAX_VERTICES = 10
 
@@ -152,7 +151,7 @@ def classify_stream(
 def _connected_subsets(g: Graph) -> list[int]:
     subsets = []
     for mask in range(1, 1 << g.n):
-        if sum(bfs_layers(g.adjacency, mask & -mask, mask)) == mask:
+        if sum(bfs_layers([b & mask for b in g.adjacency], mask & -mask)) == mask:
             subsets.append(mask)
     # Small sets first so witnesses made of singletons are found immediately.
     subsets.sort(key=lambda mask: (mask.bit_count(), mask))

@@ -17,9 +17,8 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal
-from .errors import GraphFormatError, OverCapError
-from .graphs import Graph, Triple, parse_edge_list, parse_graph6
-from .enumeration import DEFAULT_CAP, check_cap, count_events, resolve_threads
+from .graphs import Graph, GraphFormatError, Triple, parse_edge_list, parse_graph6
+from .enumeration import DEFAULT_CAP, OverCapError, check_cap, count_events, resolve_threads
 from . import closed_form, complete
 from .classify import CLASSES, classify, classify_stream, is_outerplanar
 from .montecarlo import mc_estimate

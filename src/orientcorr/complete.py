@@ -44,6 +44,8 @@ def _scaled(value: Fraction, n: int) -> int:
 @lru_cache(maxsize=None)
 def unreachable_prob(n: int, k: int) -> Fraction:
     """P(no directed path from any of a k-set to the target) on K_n."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
     if k == 0:
         if n < 1:
             raise ValueError(f"need n >= 1, got n={n}")
@@ -60,6 +62,8 @@ def unreachable_prob(n: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def joint_unreachable_prob(n: int, k: int) -> Fraction:
     """P(k-set has no path to the target and the target none to a third vertex)."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
     if k == 0:
         return unreachable_prob(n, 1)
     if n < k + 2:

@@ -48,7 +48,6 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import TripleCorrelation
-from .errors import OverCapError
 from .graphs import Graph, Triple, distances
 
 DEFAULT_CAP = 30
@@ -58,6 +57,10 @@ MAX_CAP = 62
 # Bytes of bitset arrays one batch may hold at once: each array of a triple
 # batch, or the (n, n, W) reach words of a sweep and their temporaries.
 _BATCH_BYTES = 1 << 22
+
+
+class OverCapError(RuntimeError):
+    """Raised when an exhaustive walk over orientations would exceed the edge cap."""
 
 
 @dataclass(frozen=True)
@@ -217,20 +220,7 @@ def _sweep_all(g: Graph, planes: np.ndarray, live: np.ndarray) -> np.ndarray:
     for lo in range(0, n, step):
         mid = slice(lo, lo + step)
         both = reach[:, mid].transpose(1, 0, 2)[:, :, None] & reach[mid, None]
-        counts, out = np.bitwise_count(both), joint[mid]
-        if len(live) > 4:
-            np.add.reduce(counts, axis=-1, out=out)
-        else:
-            # A reduce over a short last axis costs 20-30 ns an output
-            # whatever its length, so add the words a slice at a time.
-            # Timed on every census size (n = 5..9) and on n = 62 (2-vCPU
-            # Xeon), the slices won at W <= 2 on every n (0.57 against
-            # 5.4 ms on n = 62, W = 2) and at W = 4 on n >= 7, losing by
-            # 1-3 us on n = 5 and 6; the reduce won at W >= 8 on n <= 9,
-            # by 1.1-2.6x at W = 8 and 8-20x at W = 128..512.
-            np.copyto(out, counts[..., 0])
-            for w in range(1, len(live)):
-                out += counts[..., w]
+        np.add.reduce(np.bitwise_count(both), axis=-1, out=joint[mid])
     return joint
 
 

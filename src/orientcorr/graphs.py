@@ -10,11 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import GraphFormatError
-
 MAX_VERTICES = 62
 
 _G6_HEADER = ">>graph6<<"
+
+
+class GraphFormatError(ValueError):
+    """Raised when a graph description (graph6 or edge list) cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -102,18 +104,18 @@ def neighbours(adjacency: Sequence[int], vertices: int) -> int:
     return nbr
 
 
-def bfs_layers(adjacency: Sequence[int], start: int, within: int = -1) -> Iterator[int]:
+def bfs_layers(adjacency: Sequence[int], start: int) -> Iterator[int]:
     """Breadth-first layers, as vertex bitsets, from the vertex set `start`.
 
     adjacency[v] is the bitset of v's neighbours (or out-neighbours).  The
     first layer is `start` itself; each later one holds the vertices first
-    reached one step further out.  Only vertices in the bitset `within` are
-    entered.  The layers are disjoint, so their sum is the reached set.
+    reached one step further out.  The layers are disjoint, so their sum is
+    the reached set.
     """
     seen = frontier = start
     while frontier:
         yield frontier
-        frontier = neighbours(adjacency, frontier) & within & ~seen
+        frontier = neighbours(adjacency, frontier) & ~seen
         seen |= frontier
 
 

@@ -64,6 +64,10 @@ def test_domain_errors():
         unreachable_prob(3, 3)
     with pytest.raises(ValueError):
         joint_unreachable_prob(3, 2)
+    for n, k in [(5, -1), (3, -2), (6, -3), (0, -1)]:
+        for prob in (unreachable_prob, joint_unreachable_prob):
+            with pytest.raises(ValueError, match="need k >= 0"):
+                prob(n, k)
     with pytest.raises(ValueError):
         covariance_sign(2)
     with pytest.raises(ValueError):

@@ -229,6 +229,11 @@ def sparse_with_top_triple(draw, n):
 @example((graph_from_edges(5, [(0, 1), (1, 2), (0, 2)]), Triple(0, 1, 2)))  # isolated 3 and 4
 @example((graph_from_edges(4, [(0, 1), (1, 3)]), Triple(2, 1, 3)))  # isolated source
 @example((graph_from_edges(62, [(0, 61), (30, 61), (0, 30)]), Triple(0, 61, 30)))
+# 2 and 4 words on 62 vertices: the shortest batches of the all-sources sweep.
+@example((graph_from_edges(62, [(0, 12), (0, 30), (0, 61), (12, 45), (12, 61), (30, 61), (45, 61)]),
+          Triple(0, 61, 45)))
+@example((graph_from_edges(62, [(0, 12), (0, 30), (0, 61), (12, 45), (12, 61), (30, 45), (30, 61),
+                                (45, 61)]), Triple(12, 30, 61)))
 @example((path_graph(7), Triple(6, 3, 0)))  # sourced at its top vertex
 # When 1 -> 6, a zig-zag is the one a -> s path: out from {a, s} by BFS
 # distance, back in, out and in again, so no two sweeps find it.

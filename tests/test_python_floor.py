@@ -6,10 +6,13 @@ rejects syntax newer than 3.10, such as `except*` or type parameter lists.
 This checks grammar only: a stdlib function or type added after 3.10 still
 passes here.  The numpy floor is declared once, in pyproject, which the CI
 install step reads by installing the package, and which one CI job reads
-back to install numpy at exactly that version.
+back to install numpy at exactly that version.  The names the benchmark's
+tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
+would notice.
 """
 
 import ast
+import importlib.util
 import re
 import subprocess
 from pathlib import Path
@@ -48,3 +51,19 @@ def test_ci_installs_numpy_at_the_floor_it_reads_from_pyproject():
     assert "pyproject.toml" in command
     printed = subprocess.run(["sh", "-c", command], cwd=ROOT, capture_output=True, text=True, check=True)
     assert printed.stdout == floor + "\n"
+
+
+def test_perfbench_traces_names_that_exist():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(modname, attr) for modname, attr, _, _ in spans._FUNCTIONS
+               if not callable(getattr(importlib.import_module(modname), attr, None))]
+    missing += [(modname, f"{clsname}.{attr}") for modname, clsname, attr, _ in spans._CLASSMETHODS
+                if not isinstance(vars(getattr(importlib.import_module(modname), clsname)).get(attr),
+                                  classmethod)]
+    complete = importlib.import_module("orientcorr.complete")
+    missing += [("orientcorr.complete", attr) for attr in spans._RECURSIONS
+                if not all(hasattr(getattr(complete, attr, None), cache)
+                           for cache in ("cache_info", "cache_clear"))]
+    assert missing == []
