@@ -7,16 +7,16 @@ Over all ordered triples (a, s, b) of distinct vertices:
 * class II  - both signs occur, or some triple is exactly independent.
 
 The classes overlap: a graph whose triples are all independent is in all
-three.  Outerplanarity is decided in linear time, block by block, by
-Mitchell's reduction of degree-2 vertices, so it has no vertex cap.  The
-brute-force minor search `has_minor` is capped at 10 vertices; it is kept
-as the independent check of that test.
+three.  Outerplanarity is decided by Mitchell's reduction of degree-2
+vertices over the whole graph, so it has no vertex cap.  The brute-force
+minor search `has_minor` is capped at 10 vertices; it is kept as the
+independent check of that test.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .enumeration import DEFAULT_CAP, OverCapError, check_cap, sweep_sources
 from .graphs import Graph, GraphFormatError, bfs_layers, is_connected, members, neighbours, parse_graph6
@@ -196,102 +196,46 @@ def has_minor(g: Graph, h: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Outerplanarity in linear time: split into blocks, reduce each one.
-
-def _blocks(adjacency: Sequence[int]) -> Iterator[int]:
-    """Vertex bitsets of the blocks (biconnected components) with an edge.
-
-    One depth-first search (Hopcroft-Tarjan).  `order` numbers the vertices
-    as they are found and `low[v]` is the smallest number reachable from v's
-    subtree by one edge that leaves it.  When a child v of u cannot get above
-    u (low[v] >= order[u]), u separates v's subtree: the vertices found since
-    v, with u, are a block.  Isolated vertices lie in no block.
-    """
-    n = len(adjacency)
-    order = [-1] * n
-    low = [0] * n
-    found = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = found
-        found += 1
-        pending = [root]                 # found, not yet assigned to a block
-        path = [[root, adjacency[root]]]  # DFS path: vertex, neighbours left to scan
-        while path:
-            v, left = path[-1]
-            if left:
-                w = (left & -left).bit_length() - 1
-                path[-1][1] = left & (left - 1)
-                if order[w] < 0:
-                    order[w] = low[w] = found
-                    found += 1
-                    pending.append(w)
-                    path.append([w, adjacency[w]])
-                else:
-                    low[v] = min(low[v], order[w])
-                continue
-            path.pop()
-            if not path:
-                break
-            u = path[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= order[u]:
-                block = 1 << u
-                while True:
-                    x = pending.pop()
-                    block |= 1 << x
-                    if x == v:
-                        break
-                yield block
-
-
-def _block_is_outerplanar(adjacency: Sequence[int], block: int) -> bool:
-    """Mitchell's degree-2 reduction of one block (S. L. Mitchell, IPL 9, 1979).
-
-    A biconnected outerplanar graph on k >= 3 vertices has m <= 2k - 3 and a
-    vertex v of degree 2.  Removing v and joining its neighbours u, w cuts
-    the triangle uvw off the polygon, and the remainder is again biconnected;
-    it is outerplanar, with uw on its outer cycle, exactly when the graph
-    was.  `sided` holds the edges that already bound a cut-off triangle.  An
-    edge may bound a second one only when it is all that is left: while
-    other vertices remain, two sides and the rest of the block give three
-    disjoint u-w paths, a K2,3 minor.  So no edge ever takes a third side.
-    """
-    nbrs = {v: adjacency[v] & block for v in members(block)}
-    k = len(nbrs)
-    if sum(b.bit_count() for b in nbrs.values()) // 2 > 2 * k - 3:
-        return False
-    sided: set[tuple[int, int]] = set()
-    degree_two = [v for v, b in nbrs.items() if b.bit_count() == 2]
-    while k > 2:
-        # No entry goes stale: degrees never rise, since uw takes v's place
-        # at both ends, and the block stays biconnected, so they stay at 2
-        # or more while k > 2.  A vertex enters degree_two once, on falling
-        # to 2, and leaves only when it is reduced.
-        if not degree_two:
-            return False
-        v = degree_two.pop()
-        u, w = members(nbrs.pop(v))
-        k -= 1
-        nbrs[u] &= ~(1 << v)
-        nbrs[w] &= ~(1 << v)
-        edge = (u, w)
-        if nbrs[u] >> w & 1:
-            if edge in sided and k > 2:
-                return False
-            degree_two.extend(x for x in edge if nbrs[x].bit_count() == 2)
-        else:
-            nbrs[u] |= 1 << w
-            nbrs[w] |= 1 << u
-        sided.add(edge)
-    return True
-
+# Outerplanarity by degree-2 reduction.
 
 def is_outerplanar(g: Graph) -> bool:
     """Can g be drawn in the plane with every vertex on the outer face?
 
-    A graph is outerplanar exactly when each of its blocks is, so each block
-    is reduced on its own; the test takes linear time and has no vertex cap.
+    Mitchell's degree-2 reduction (S. L. Mitchell, IPL 9, 1979), run over
+    the whole graph at once.  An outerplanar graph has a vertex of degree at
+    most 2.  One of degree 0 or 1 is removed.  One of degree 2, v with
+    neighbours u and w, is replaced by the edge uw: that cuts the triangle
+    uvw off the outer face or, where uw is no edge, suppresses v.  `sided`
+    holds the edges that stand for a u-w path through removed vertices.  An
+    edge may stand for a second one only if it is a bridge once v is gone:
+    otherwise the two paths and a third one around the rest of the graph
+    give a K2,3 minor.  g is outerplanar exactly when every vertex goes.
     """
-    return all(_block_is_outerplanar(g.adjacency, block) for block in _blocks(g.adjacency))
+    nbrs = list(g.adjacency)
+    # Degrees never rise, since uw takes v's place at both ends, and they
+    # fall one at a time, so each vertex enters `low` once: at the start or
+    # on falling to 2.
+    low = [v for v in range(g.n) if nbrs[v].bit_count() <= 2]
+    sided: set[tuple[int, int]] = set()
+    removed = 0
+    while low:
+        v = low.pop()
+        removed += 1
+        around, nbrs[v] = nbrs[v], 0
+        for x in members(around):
+            nbrs[x] &= ~(1 << v)
+        if around.bit_count() == 2:
+            u, w = members(around)
+            joined = nbrs[u] >> w & 1
+            if joined and (u, w) in sided:
+                nbrs[u] &= ~(1 << w)
+                nbrs[w] &= ~(1 << u)
+                if any(layer >> w & 1 for layer in bfs_layers(nbrs, 1 << u)):
+                    return False
+            nbrs[u] |= 1 << w
+            nbrs[w] |= 1 << u
+            sided.add((u, w))
+            if not joined:
+                continue  # uw took v's place at both ends: no degree moved
+        low.extend(x for x in members(around) if nbrs[x].bit_count() == 2)
+    return removed == g.n

@@ -32,10 +32,14 @@ class CycleTriple:
             raise ValueError(f"arc lengths ({self.c}, {self.d}, {self.n - self.c - self.d}) must all be >= 1")
 
 
-def cycle_triple_from_labels(n: int, a: int, s: int, b: int) -> CycleTriple:
-    """Arc lengths for labeled vertices on the standard cycle 0-1-...-(n-1)-0."""
+def _check_cycle(n: int) -> None:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+
+
+def cycle_triple_from_labels(n: int, a: int, s: int, b: int) -> CycleTriple:
+    """Arc lengths for labeled vertices on the standard cycle 0-1-...-(n-1)-0."""
+    _check_cycle(n)
     Triple(a, s, b).validate(n)
     c = (s - a) % n
     d = (b - s) % n
@@ -59,6 +63,7 @@ def cycle_correlation(t: CycleTriple) -> TripleCorrelation:
 
 def cycle_cov_bound(n: int) -> SignedDyadic:
     """The uniform ceiling -(1/2)^(2n) on cycle covariances; tight iff c = d = 1."""
+    _check_cycle(n)
     return SignedDyadic.of(-1, 2 * n)
 
 

@@ -99,7 +99,13 @@ def _sample_planes(seed: int, m: int, lo: int, hi: int) -> np.ndarray:
     return planes.view("<u8")
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
+
 def delta_method_se(count_c: int, count_d: int, count_cd: int, samples: int) -> float:
+    _check_samples(samples)
     q11 = count_cd / samples
     q10 = (count_c - count_cd) / samples
     q01 = (count_d - count_cd) / samples
@@ -115,8 +121,7 @@ def delta_method_se(count_c: int, count_d: int, count_cd: int, samples: int) -> 
 def mc_estimate(g: Graph, t: Triple, samples: int, seed: int, *, threads: int = 1) -> McEstimate:
     """Estimate the triple correlation from `samples` random orientations."""
     t.validate(g.n)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    _check_samples(samples)
     n_c, n_d, n_cd = triple_counts(g, t, samples, partial(_sample_planes, seed, g.m),
                                    threads=threads)
     return McEstimate(

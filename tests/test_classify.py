@@ -224,11 +224,13 @@ def _glued(*blocks):
     return graph_from_edges(base + 1, edges)
 
 
+EDGE = (2, [(0, 1)])
 TRIANGLE = (3, [(0, 1), (1, 2), (0, 2)])
 K23_EDGES = (5, k2(3).edges)
+K4_EDGES = (4, complete_graph(4).edges)
 DIAMOND_EDGES = (4, diamond().edges)
 # Pendant vertices 0 and 1 hang off the block {2, 3, 4, 5}, a diamond.  A
-# reduction run over the whole graph, not block by block, rejects it.
+# reduction that counts the pendants into the diamond's block rejects it.
 PENDANTS_ON_DIAMOND = graph_from_edges(
     7, [(0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
 
@@ -283,16 +285,45 @@ def _triangulated_polygon(n, rng):
     return graph_from_edges(n, [tuple(e) for e in edges])
 
 
+OUTERPLANAR_PIECES = (EDGE, TRIANGLE, DIAMOND_EDGES, *((k, cycle_graph(k).edges) for k in (4, 5, 8)))
+
+
+def _chain(rng, size):
+    """Random outerplanar pieces for `_glued`, on `size` >= 3 vertices.
+
+    Two edge pieces in a row meet at a cut vertex of degree 2; the other
+    pieces go on either end, so that joint stays.
+    """
+    pieces, n = [EDGE, EDGE], 3
+    while n < size:
+        piece = rng.choice(OUTERPLANAR_PIECES)
+        if n + piece[0] - 1 > size:
+            piece = EDGE
+        pieces.insert(rng.choice((0, len(pieces))), piece)
+        n += piece[0] - 1
+    return pieces
+
+
 def test_outerplanar_past_the_minor_search_cap():
     # Every n up to the 62-vertex limit; the minor search stops at 10.
     rng = random.Random(6)
     for n in range(5, 63):
         polygon = _triangulated_polygon(n, rng)
         assert polygon.m == 2 * n - 3
-        for g in (cycle_graph(n), _fan(n), polygon):
+        chain = _glued(*_chain(rng, n))
+        assert chain.n == n
+        for g in (cycle_graph(n), _fan(n), polygon, chain):
             assert is_outerplanar(g), (n, g.edges)
         for g in (_wheel(n), k2(n - 2)):
             assert not is_outerplanar(g), (n, g.edges)
+        # One K2,3 or K4 piece anywhere in a chain of cut vertices.
+        for bad in (K23_EDGES, K4_EDGES):
+            if n < bad[0] + 2:
+                continue
+            pieces = _chain(rng, n - bad[0] + 1)
+            at = rng.randrange(len(pieces) + 1)
+            g = _glued(*pieces[:at], bad, *pieces[at:])
+            assert g.n == n and not is_outerplanar(g), (n, g.edges)
 
 
 def test_stream_outerplanar_past_ten_vertices():

@@ -84,6 +84,10 @@ def test_cycle_cov_ceiling_equality_iff_adjacent():
                 cov = cycle_correlation(CycleTriple(n, c, d)).cov.as_fraction()
                 assert cov <= bound
                 assert (cov == bound) == (c == 1 and d == 1)
+    # No cycle has fewer than 3 vertices, so there is no ceiling to give.
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match=f"cycle needs at least 3 vertices, got {n}"):
+            cycle_cov_bound(n)
 
 
 def test_forest_path_through_middle_is_independent():

@@ -158,6 +158,9 @@ def test_delta_method_closed_cases():
     # Degenerate corners have zero variance.
     assert delta_method_se(0, 0, 0, 1000) == 0.0
     assert delta_method_se(1000, 1000, 1000, 1000) == 0.0
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one sample, got {samples}"):
+            delta_method_se(0, 0, 0, samples)
 
 
 def test_sample_count_validation():

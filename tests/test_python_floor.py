@@ -8,7 +8,8 @@ passes here.  The numpy floor is declared once, in pyproject, which the CI
 install step reads by installing the package, and which one CI job reads
 back to install numpy at exactly that version.  The names the benchmark's
 tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
-would notice.
+would notice.  Every module-level import of a package module is used in
+that module (the package's __init__ imports to re-export).
 """
 
 import ast
@@ -67,3 +68,20 @@ def test_perfbench_traces_names_that_exist():
                 if not all(hasattr(getattr(complete, attr, None), cache)
                            for cache in ("cache_info", "cache_clear"))]
     assert missing == []
+
+
+MODULES = sorted(path for path in (ROOT / "src" / "orientcorr").glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
