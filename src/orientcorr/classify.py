@@ -15,10 +15,10 @@ independent check of that test.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .enumeration import DEFAULT_CAP, OverCapError, check_cap, sweep_sources
+from .enumeration import DEFAULT_CAP, OverCapError, check_cap, resolve_threads, sweep_sources
 from .graphs import Graph, GraphFormatError, bfs_layers, is_connected, members, neighbours, parse_graph6
 
 MINOR_MAX_VERTICES = 10
@@ -60,17 +60,23 @@ def classify(
     disconnected = not is_connected(g)
     if disconnected and not allow_disconnected:
         raise ValueError("graph is disconnected; pass allow_disconnected to census it anyway")
+    return ClassFlags(**_census(sweep_sources(g, cap=cap, threads=threads), g.m),
+                      disconnected=disconnected)
+
+
+def _census(sweep: list[list[list[int]]], m: int) -> dict:
+    """The six census fields of ClassFlags, in field order, from a sweep_sources array."""
     neg = zero = pos = 0
-    total = 1 << g.m
+    total = 1 << m
     # One walk gives every middle vertex.  The signs are taken in Python
     # integers: joint * 2^m reaches 2^(2m), past int64 above m = 31.
-    for s, joint in enumerate(sweep_sources(g, cap=cap, threads=threads)):
+    for s, joint in enumerate(sweep):
         outof = joint[s]
-        for a in range(g.n):
+        for a in range(len(sweep)):
             if a == s:
                 continue
             into = joint[a][s]
-            for b in range(g.n):
+            for b in range(len(sweep)):
                 if b == s or b == a:
                     continue
                 diff = joint[a][b] * total - into * outof[b]
@@ -80,15 +86,8 @@ def classify(
                     pos += 1
                 else:
                     zero += 1
-    return ClassFlags(
-        neg_triples=neg,
-        zero_triples=zero,
-        pos_triples=pos,
-        class_i=pos == 0,
-        class_ii=(neg > 0 and pos > 0) or zero > 0,
-        class_iii=neg == 0,
-        disconnected=disconnected,
-    )
+    return {"neg_triples": neg, "zero_triples": zero, "pos_triples": pos,
+            "class_i": pos == 0, "class_ii": (neg > 0 and pos > 0) or zero > 0, "class_iii": neg == 0}
 
 
 def classify_stream(
@@ -103,9 +102,11 @@ def classify_stream(
     Yields dicts with "type" in {"graph", "skipped", "error"}, then a final
     {"type": "summary"} record.  Disconnected and over-cap graphs are
     skipped, not fatal; malformed lines become error records.  A cap over
-    the enumeration maximum raises ValueError before any record.
+    the enumeration maximum or a negative thread count raises ValueError
+    before any record.
     """
     check_cap(cap)
+    resolve_threads(threads)
     graphs = errors = skipped = 0
     class_counts = {field: 0 for _, field in CLASSES}
     for index, raw in enumerate(lines):
@@ -125,7 +126,7 @@ def classify_stream(
             reason = "disconnected"
         else:
             try:
-                flags = classify(g, cap=cap, threads=threads)
+                census = _census(sweep_sources(g, cap=cap, threads=threads), g.m)
             except OverCapError as exc:
                 reason = str(exc)
         common = {"index": index, "graph6": line, "n": g.n, "m": g.m}
@@ -134,8 +135,6 @@ def classify_stream(
             yield {"type": "skipped", **common, "reason": reason}
             continue
         graphs += 1
-        census = asdict(flags)
-        del census["disconnected"]  # always False: disconnected graphs were skipped
         for _, field in CLASSES:
             class_counts[field] += census[field]
         record = {"type": "graph", **common, **census}

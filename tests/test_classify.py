@@ -1,6 +1,8 @@
 """Sign censuses, the three classes, streaming, minors and outerplanarity."""
 
+import importlib
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,10 @@ def test_census_goldens(name):
     assert (flags.neg_triples, flags.zero_triples, flags.pos_triples) == (neg, zero, pos)
     assert flags.total_triples == g.n * (g.n - 1) * (g.n - 2)
     assert not flags.disconnected
+    # The stream reaches the census by its own path, so check it agrees.
+    [record, _summary] = classify_stream([emit_graph6(g)])
+    census = {key: value for key, value in asdict(flags).items() if key != "disconnected"}
+    assert record == {"type": "graph", "index": 0, "graph6": emit_graph6(g), "n": g.n, "m": g.m, **census}
 
 
 def test_class_flags_follow_census():
@@ -142,6 +148,32 @@ def test_stream_skips_tiny_graphs():
     records = list(classify_stream([emit_graph6(path_graph(2))]))
     assert records[0]["type"] == "skipped"
     assert records[0]["reason"] == "fewer than 3 vertices"
+
+
+@pytest.mark.parametrize("kwargs, named", [({"threads": -1}, "thread count"), ({"cap": -1}, "enumeration cap")],
+                         ids=["threads", "cap"])
+def test_stream_refuses_bad_arguments_before_any_record(kwargs, named):
+    # The one line is skipped before any walk, so only an up-front check sees the argument.
+    with pytest.raises(ValueError, match=named):
+        next(classify_stream([emit_graph6(path_graph(2))], **kwargs))
+
+
+def test_stream_tests_connectivity_once_per_graph(monkeypatch):
+    # The package attribute orientcorr.classify is the function, not the module.
+    module = importlib.import_module("orientcorr.classify")
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(module, "is_connected", counted)
+    lines = [emit_graph6(complete_graph(5)), emit_graph6(cycle_graph(6)),
+             emit_graph6(graph_from_edges(4, [(0, 1), (2, 3)])), emit_graph6(path_graph(2)), "!!bad"]
+    kinds = [r["type"] for r in classify_stream(lines)]
+    assert kinds == ["graph", "graph", "skipped", "skipped", "error", "summary"]
+    # Only the three graphs with n >= 3 are tested, each once.
+    assert len(calls) == 3
 
 
 def test_stream_outerplanar_flag():

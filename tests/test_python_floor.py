@@ -8,8 +8,8 @@ passes here.  The numpy floor is declared once, in pyproject, which the CI
 install step reads by installing the package, and which one CI job reads
 back to install numpy at exactly that version.  The names the benchmark's
 tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
-would notice.  Every module-level import of a package module is used in
-that module (the package's __init__ imports to re-export).
+would notice.  Every module-level import of a package or test module is
+used in that module (the package's __init__ imports to re-export).
 """
 
 import ast
@@ -70,7 +70,8 @@ def test_perfbench_traces_names_that_exist():
     assert missing == []
 
 
-MODULES = sorted(path for path in (ROOT / "src" / "orientcorr").glob("*.py") if path.name != "__init__.py")
+MODULES = sorted([*(path for path in (ROOT / "src" / "orientcorr").glob("*.py") if path.name != "__init__.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
