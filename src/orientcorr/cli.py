@@ -10,6 +10,7 @@ columns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -297,7 +298,13 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared afterwards.
+
+    Every main() call parses with this one object, so callers must not add
+    arguments to it.
+    """
     # Global flags live on a parent parser so they are accepted both before
     # and after the subcommand name.  Defaults are SUPPRESS because the
     # subparser copies its whole namespace over the root one; main() fills

@@ -28,7 +28,7 @@ from orientcorr import (
 )
 from orientcorr import complete
 from orientcorr.closed_form import CycleTriple
-from orientcorr.cli import main
+from orientcorr.cli import build_parser, main
 from support import diamond, run_cli
 from test_complete_graph import GOLDEN_ROWS
 
@@ -216,6 +216,18 @@ def test_exact_integers_print_in_full_past_the_digit_limit(capsys):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["kn", "--n", "1"], 2),
+    (["exact", "--graph6", "!!bad", "--a", "0", "--s", "1", "--b", "2"], 3),
+    (["--cap", "3", "exact", "--graph6", K4_G6, "--a", "0", "--s", "1", "--b", "2"], 4),
+], ids=["usage", "parse", "over-cap"])
+def test_digit_limit_is_restored_on_error_exits(capsys, argv, code):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    assert run_cli(capsys, argv)[0] == code
+    assert get_limit() == limit
 
 
 def test_kn_json_smallest_case(capsys):
@@ -480,6 +492,52 @@ def test_consecutive_runs_are_identical(capsys, argv):
     first = run_cli(capsys, argv)
     second = run_cli(capsys, argv)
     assert first == second
+
+
+def _triple_argv(*flags: str) -> list[str]:
+    return ["exact", "--graph6", K4_G6, "--a", "0", "--s", "1", "--b", "2", *flags]
+
+
+# Each global flag before and after the subcommand, each classify flag
+# followed by the same command without it, and two argparse exits.  A
+# `--cap 3` left over from an earlier call would make the plain `exact`
+# exit 4.
+IN_PROCESS_SEQUENCE = [
+    _triple_argv(),
+    ["--json", *_triple_argv()],
+    _triple_argv("--json"),
+    ["--cap", "3", *_triple_argv()],
+    _triple_argv("--cap", "3"),
+    ["--threads", "2", *_triple_argv()],
+    _triple_argv("--threads", "2"),
+    ["classify", "--graph6", K4_G6, "--outerplanar"],
+    ["classify", "--graph6", K4_G6],
+    ["classify", "--graph6", "C`", "--allow-disconnected"],
+    ["classify", "--graph6", "C`"],
+    ["kn"],
+    ["--help"],
+    _triple_argv(),
+]
+
+
+def _run_or_exit(capsys, argv: list[str]) -> tuple:
+    """run_cli, with an argparse exit recorded as ("SystemExit", code)."""
+    try:
+        return run_cli(capsys, argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return ("SystemExit", exc.code), out.out, out.err
+
+
+def test_no_state_crosses_in_process_calls(capsys):
+    assert build_parser() is build_parser()
+    first = {}
+    for argv in IN_PROCESS_SEQUENCE + IN_PROCESS_SEQUENCE[::-1]:
+        result = _run_or_exit(capsys, argv)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    codes = [first[tuple(argv)][0] for argv in IN_PROCESS_SEQUENCE]
+    assert codes == [0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 2,
+                     ("SystemExit", 2), ("SystemExit", 0), 0]
 
 
 # tests/data/cli_golden.json holds the stdout, stderr and exit code of each

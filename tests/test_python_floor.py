@@ -10,12 +10,16 @@ back to install numpy at exactly that version.  The names the benchmark's
 tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
 would notice.  Every module-level import of a package or test module is
 used in that module (the package's __init__ imports to re-export).
+Importing the CLI builds no argument parser: that waits for the first
+main() call, so the import stays cheap.
 """
 
 import ast
 import importlib.util
+import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,13 @@ def test_module_level_imports_are_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A fresh interpreter, so no earlier test has called main() yet.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import orientcorr.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    printed = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+    assert printed.stdout == "0\n"
