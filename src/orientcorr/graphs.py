@@ -38,7 +38,7 @@ def graph_from_edges(n: int, edges) -> Graph:
     if not 1 <= n <= MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     seen = set()
-    canon = []
+    adjacency = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
@@ -49,13 +49,9 @@ def graph_from_edges(n: int, edges) -> Graph:
         if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-        canon.append((u, v))
-    canon.sort()
-    adjacency = [0] * n
-    for u, v in canon:
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    return Graph(n, tuple(canon), tuple(adjacency))
+    return Graph(n, tuple(sorted(seen)), tuple(adjacency))
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,8 @@ def is_connected(g: Graph) -> bool:
 
 # graph6 byte layout: header byte 63+n, then the upper triangle of the
 # adjacency matrix in column-major order (_graph6_pairs), packed big-endian
-# into 6-bit groups, each offset by 63.
+# into 6-bit groups, each offset by 63.  Byte numbers in error messages count
+# the optional ">>graph6<<" header.
 
 def _graph6_pairs(n: int) -> list[tuple[int, int]]:
     """The vertex pairs in graph6 bit order: (0,1),(0,2),(1,2),(0,3),..."""
@@ -149,59 +146,54 @@ def _graph6_pairs(n: int) -> list[tuple[int, int]]:
 
 def parse_graph6(text: str) -> Graph:
     line = text.rstrip("\r\n")
-    if line.startswith(_G6_HEADER):
-        line = line[len(_G6_HEADER):]
+    start = len(_G6_HEADER) if line.startswith(_G6_HEADER) else 0
+    line = line[start:]
     if not line:
         raise GraphFormatError("empty graph6 string")
-    for offset, ch in enumerate(line):
+    for offset, ch in enumerate(line, start):
         if not 63 <= ord(ch) <= 126:
             raise GraphFormatError(f"byte {offset}: character {ch!r} outside graph6 range")
     n = ord(line[0]) - 63
     if n == 63:
-        raise GraphFormatError("byte 0: multi-byte vertex counts (n > 62) not supported")
+        raise GraphFormatError(f"byte {start}: multi-byte vertex counts (n > 62) not supported")
     if not 1 <= n <= MAX_VERTICES:
-        raise GraphFormatError(f"byte 0: vertex count {n} outside 1..{MAX_VERTICES}")
+        raise GraphFormatError(f"byte {start}: vertex count {n} outside 1..{MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
     if len(line) - 1 < nchars:
-        raise GraphFormatError(f"byte {len(line)}: truncated, need {nchars} data characters")
+        raise GraphFormatError(f"byte {start + len(line)}: truncated, need {nchars} data characters")
     if len(line) - 1 > nchars:
-        raise GraphFormatError(f"byte {1 + nchars}: trailing garbage after graph data")
-    bits = []
-    for ch in line[1:]:
-        val = ord(ch) - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    for offset, bit in enumerate(bits[nbits:]):
-        if bit:
-            raise GraphFormatError(f"byte {1 + (nbits + offset) // 6}: nonzero padding bit")
-    return graph_from_edges(n, [pair for pair, bit in zip(_graph6_pairs(n), bits) if bit])
+        raise GraphFormatError(f"byte {start + 1 + nchars}: trailing garbage after graph data")
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in line[1:])
+    if "1" in bits[nbits:]:
+        # Padding only fills the last data character, byte nchars.
+        raise GraphFormatError(f"byte {start + nchars}: nonzero padding bit")
+    return graph_from_edges(n, [pair for pair, bit in zip(_graph6_pairs(n), bits) if bit == "1"])
 
 
 def emit_graph6(g: Graph) -> str:
-    bits = [int(g.has_edge(u, v)) for u, v in _graph6_pairs(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k:k + 6]:
-            val = val << 1 | bit
-        out.append(chr(63 + val))
-    return "".join(out)
+    bits = "".join("1" if g.has_edge(u, v) else "0" for u, v in _graph6_pairs(g.n))
+    bits += "0" * (-len(bits) % 6)
+    chars = (chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
+    return chr(63 + g.n) + "".join(chars)
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain format: first line n, then one 'u v' pair per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse the plain format: first line n, then one 'u v' pair per line.
+
+    Blank lines are skipped; error messages number lines as the text does.
+    """
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(lineno, ln) for lineno, raw in numbered if (ln := raw.strip())]
     if not lines:
         raise GraphFormatError("empty edge list")
+    (_, first), *rows = lines
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError:
-        raise GraphFormatError(f"first line must be the vertex count, got {lines[0]!r}") from None
+        raise GraphFormatError(f"first line must be the vertex count, got {first!r}") from None
     edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in rows:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {ln!r}")

@@ -1,6 +1,8 @@
 """Graph construction, graph6 round-trips, edge-list parsing."""
 
+import ast
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,19 +53,40 @@ def test_optional_header_prefix_and_newline():
     assert parse_graph6(">>graph6<<Bw\n") == complete_graph(3)
 
 
-@pytest.mark.parametrize("bad, fragment", [
-    ("", "empty"),
-    ("B\x1c", "outside graph6 range"),
-    ("~??", "multi-byte"),
-    ("?", "vertex count 0"),
-    ("Bww", "trailing garbage"),
-    ("D?", "truncated"),
-    ("Bx", "padding"),
+def test_petersen_published_golden():
+    # The published graph6 string of the Petersen graph: outer 5-cycle,
+    # spokes i-(i+5) and the inner pentagram 5-7-9-6-8-5.  Unlike the round
+    # trips below, this pins the bit order against an outside reference.
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    pentagram = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
+    petersen = graph_from_edges(10, outer + spokes + pentagram)
+    assert emit_graph6(petersen) == "IheA@GUAo"
+    assert parse_graph6("IheA@GUAo") == petersen
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("", "empty graph6 string"),
+    ("B\x1c", "byte 1: character '\\x1c' outside graph6 range"),
+    ("~??", "byte 0: multi-byte vertex counts (n > 62) not supported"),
+    ("?", "byte 0: vertex count 0 outside 1..62"),
+    ("Bww", "byte 2: trailing garbage after graph data"),
+    ("D?", "byte 2: truncated, need 2 data characters"),
+    ("Bx", "byte 1: nonzero padding bit"),
+    ("D?|", "byte 2: nonzero padding bit"),
+    # Byte numbers count the optional header, so they index the whole line.
+    (">>graph6<<", "empty graph6 string"),
+    (">>graph6<<B!", "byte 11: character '!' outside graph6 range"),
+    (">>graph6<<~??", "byte 10: multi-byte vertex counts (n > 62) not supported"),
+    (">>graph6<<?", "byte 10: vertex count 0 outside 1..62"),
+    (">>graph6<<Bww", "byte 12: trailing garbage after graph data"),
+    (">>graph6<<D?\n", "byte 12: truncated, need 2 data characters"),
+    (">>graph6<<Bx", "byte 11: nonzero padding bit"),
 ])
-def test_parse_errors(bad, fragment):
+def test_parse_errors(bad, message):
     with pytest.raises(GraphFormatError) as err:
         parse_graph6(bad)
-    assert fragment in str(err.value)
+    assert str(err.value) == message
 
 
 def test_every_graph_on_at_most_5_vertices_roundtrips():
@@ -75,13 +98,23 @@ def test_every_graph_on_at_most_5_vertices_roundtrips():
 
 
 @settings(max_examples=120)
-@given(st.integers(1, 20), st.randoms(use_true_random=False))
-def test_graph6_roundtrip(n, rnd):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.4]
+@given(st.integers(1, MAX_VERTICES), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_graph6_roundtrip(n, p, rnd):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
     g = graph_from_edges(n, edges)
     text = emit_graph6(g)
     assert parse_graph6(text) == g
     assert emit_graph6(parse_graph6(text)) == text
+
+
+def test_graph6_roundtrip_at_the_vertex_limit():
+    # 1891 pairs fill 315 characters and one bit of a 316th.
+    empty = graph_from_edges(MAX_VERTICES, [])
+    full = complete_graph(MAX_VERTICES)
+    assert emit_graph6(empty) == "}" + "?" * 316
+    assert emit_graph6(full) == "}" + "~" * 315 + "_"
+    for g in (empty, full):
+        assert parse_graph6(emit_graph6(g)) == g
 
 
 def test_edge_list_roundtrip():
@@ -89,20 +122,66 @@ def test_edge_list_roundtrip():
     assert g == path_graph(4)
 
 
-@pytest.mark.parametrize("text, fragment", [
-    ("", "empty"),
-    ("x\n0 1\n", "vertex count"),
-    ("3\n0\n", "expected 'u v'"),
-    ("3\n0 a\n", "non-integer"),
-    ("3\n0 0\n", "self-loop"),
-    ("3\n0 1\n1 0\n", "duplicate"),
-    ("3\n0 7\n", "out of range"),
-    ("63\n", "outside 1..62"),
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge list"),
+    ("\n \n", "empty edge list"),
+    ("x\n0 1\n", "first line must be the vertex count, got 'x'"),
+    ("3\n0\n", "line 2: expected 'u v', got '0'"),
+    ("3\n0 a\n", "line 2: non-integer endpoint in '0 a'"),
+    ("3\n0 0\n", "self-loop at vertex 0"),
+    ("3\n0 1\n1 0\n", "duplicate edge (0, 1)"),
+    ("3\n0 7\n", "edge (0, 7) out of range for n=3"),
+    ("63\n", "vertex count 63 outside 1..62"),
+    # The first bad edge is reported: range, then self-loop, then duplicate.
+    ("3\n5 5\n", "edge (5, 5) out of range for n=3"),
+    ("3\n2 2\n0 7\n", "self-loop at vertex 2"),
+    ("3\n0 1\n1 0\n2 2\n", "duplicate edge (0, 1)"),
+    # Line numbers count blank lines, as an editor does.
+    ("3\n\n0 1\n1 x\n", "line 4: non-integer endpoint in '1 x'"),
+    ("\n\n3\n0 1\n1 2 3\n", "line 5: expected 'u v', got '1 2 3'"),
 ])
-def test_edge_list_errors(text, fragment):
+def test_edge_list_errors(text, message):
     with pytest.raises(GraphFormatError) as err:
         parse_edge_list(text)
-    assert fragment in str(err.value)
+    assert str(err.value) == message
+
+
+_G6_CHARS = st.characters(min_codepoint=60, max_codepoint=130)
+_EDGE_ROWS = st.one_of(
+    st.sampled_from(["", " ", "\t", "x", "0", "1 2 3", "0 a"]),
+    st.builds("{} {}".format, st.integers(-1, 6), st.integers(-1, 6)),
+)
+_GRAPH_TEXTS = st.one_of(
+    st.text(),
+    st.builds(lambda header, n, body: header + chr(63 + n) + body,
+              st.sampled_from(["", ">>graph6<<"]), st.integers(0, 64), st.text(_G6_CHARS, max_size=12)),
+    st.builds(lambda first, rows, end: "\n".join([first, *rows]) + end,
+              st.sampled_from(["", " ", "3", "5", "x", "70"]), st.lists(_EDGE_ROWS, max_size=10),
+              st.sampled_from(["", "\n", "\r\n"])),
+)
+
+
+def _check_diagnostic(parse, text):
+    try:
+        parse(text)
+    except GraphFormatError as exc:
+        message = str(exc)
+    else:
+        return
+    if line := re.match(r"line (\d+): ", message):
+        lines = text.splitlines()
+        k = int(line[1])
+        assert 1 <= k <= len(lines) and lines[k - 1].strip(), message
+        assert message.endswith(repr(lines[k - 1].strip())), message
+    if byte := re.match(r"byte (\d+): character (.+) outside graph6 range$", message):
+        assert text[int(byte[1])] == ast.literal_eval(byte[2]), message
+
+
+@settings(max_examples=400)
+@given(_GRAPH_TEXTS)
+def test_parsers_raise_only_format_errors_that_point_into_the_text(text):
+    _check_diagnostic(parse_graph6, text)
+    _check_diagnostic(parse_edge_list, text)
 
 
 @given(st.integers(0, (1 << MAX_VERTICES) - 1))
