@@ -65,23 +65,28 @@ def test_petersen_published_golden():
     assert parse_graph6("IheA@GUAo") == petersen
 
 
+def _error_case(text, message, tag):
+    """One bad input and its full message, with the test id "<input>-<tag>"."""
+    return pytest.param(text, message, id=f"{text}-{tag}")
+
+
 @pytest.mark.parametrize("bad, message", [
-    ("", "empty graph6 string"),
-    ("B\x1c", "byte 1: character '\\x1c' outside graph6 range"),
-    ("~??", "byte 0: multi-byte vertex counts (n > 62) not supported"),
-    ("?", "byte 0: vertex count 0 outside 1..62"),
-    ("Bww", "byte 2: trailing garbage after graph data"),
-    ("D?", "byte 2: truncated, need 2 data characters"),
-    ("Bx", "byte 1: nonzero padding bit"),
-    ("D?|", "byte 2: nonzero padding bit"),
+    _error_case("", "empty graph6 string", "empty"),
+    _error_case("B\x1c", "byte 1: character '\\x1c' outside graph6 range", "outside graph6 range"),
+    _error_case("~??", "byte 0: multi-byte vertex counts (n > 62) not supported", "multi-byte"),
+    _error_case("?", "byte 0: vertex count 0 outside 1..62", "vertex count 0"),
+    _error_case("Bww", "byte 2: trailing garbage after graph data", "trailing garbage"),
+    _error_case("D?", "byte 2: truncated, need 2 data characters", "truncated"),
+    _error_case("Bx", "byte 1: nonzero padding bit", "padding"),
+    _error_case("D?|", "byte 2: nonzero padding bit", "padding"),
     # Byte numbers count the optional header, so they index the whole line.
-    (">>graph6<<", "empty graph6 string"),
-    (">>graph6<<B!", "byte 11: character '!' outside graph6 range"),
-    (">>graph6<<~??", "byte 10: multi-byte vertex counts (n > 62) not supported"),
-    (">>graph6<<?", "byte 10: vertex count 0 outside 1..62"),
-    (">>graph6<<Bww", "byte 12: trailing garbage after graph data"),
-    (">>graph6<<D?\n", "byte 12: truncated, need 2 data characters"),
-    (">>graph6<<Bx", "byte 11: nonzero padding bit"),
+    _error_case(">>graph6<<", "empty graph6 string", "empty"),
+    _error_case(">>graph6<<B!", "byte 11: character '!' outside graph6 range", "outside graph6 range"),
+    _error_case(">>graph6<<~??", "byte 10: multi-byte vertex counts (n > 62) not supported", "multi-byte"),
+    _error_case(">>graph6<<?", "byte 10: vertex count 0 outside 1..62", "vertex count 0"),
+    _error_case(">>graph6<<Bww", "byte 12: trailing garbage after graph data", "trailing garbage"),
+    _error_case(">>graph6<<D?\n", "byte 12: truncated, need 2 data characters", "truncated"),
+    _error_case(">>graph6<<Bx", "byte 11: nonzero padding bit", "padding"),
 ])
 def test_parse_errors(bad, message):
     with pytest.raises(GraphFormatError) as err:
@@ -123,22 +128,22 @@ def test_edge_list_roundtrip():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", "empty edge list"),
-    ("\n \n", "empty edge list"),
-    ("x\n0 1\n", "first line must be the vertex count, got 'x'"),
-    ("3\n0\n", "line 2: expected 'u v', got '0'"),
-    ("3\n0 a\n", "line 2: non-integer endpoint in '0 a'"),
-    ("3\n0 0\n", "self-loop at vertex 0"),
-    ("3\n0 1\n1 0\n", "duplicate edge (0, 1)"),
-    ("3\n0 7\n", "edge (0, 7) out of range for n=3"),
-    ("63\n", "vertex count 63 outside 1..62"),
+    _error_case("", "empty edge list", "empty"),
+    _error_case("\n \n", "empty edge list", "empty"),
+    _error_case("x\n0 1\n", "first line must be the vertex count, got 'x'", "vertex count"),
+    _error_case("3\n0\n", "line 2: expected 'u v', got '0'", "expected 'u v'"),
+    _error_case("3\n0 a\n", "line 2: non-integer endpoint in '0 a'", "non-integer"),
+    _error_case("3\n0 0\n", "self-loop at vertex 0", "self-loop"),
+    _error_case("3\n0 1\n1 0\n", "duplicate edge (0, 1)", "duplicate"),
+    _error_case("3\n0 7\n", "edge (0, 7) out of range for n=3", "out of range"),
+    _error_case("63\n", "vertex count 63 outside 1..62", "outside 1..62"),
     # The first bad edge is reported: range, then self-loop, then duplicate.
-    ("3\n5 5\n", "edge (5, 5) out of range for n=3"),
-    ("3\n2 2\n0 7\n", "self-loop at vertex 2"),
-    ("3\n0 1\n1 0\n2 2\n", "duplicate edge (0, 1)"),
+    _error_case("3\n5 5\n", "edge (5, 5) out of range for n=3", "out of range"),
+    _error_case("3\n2 2\n0 7\n", "self-loop at vertex 2", "self-loop"),
+    _error_case("3\n0 1\n1 0\n2 2\n", "duplicate edge (0, 1)", "duplicate"),
     # Line numbers count blank lines, as an editor does.
-    ("3\n\n0 1\n1 x\n", "line 4: non-integer endpoint in '1 x'"),
-    ("\n\n3\n0 1\n1 2 3\n", "line 5: expected 'u v', got '1 2 3'"),
+    _error_case("3\n\n0 1\n1 x\n", "line 4: non-integer endpoint in '1 x'", "non-integer"),
+    _error_case("\n\n3\n0 1\n1 2 3\n", "line 5: expected 'u v', got '1 2 3'", "expected 'u v'"),
 ])
 def test_edge_list_errors(text, message):
     with pytest.raises(GraphFormatError) as err:
