@@ -78,9 +78,10 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
 
 def relative_covariance(n: int) -> Fraction:
     """(p_joint - p_single^2) / p_joint for K_n, n >= 3."""
-    single = unreachable_prob(n, 1)
-    joint = joint_unreachable_prob(n, 1)
-    return (joint - single * single) / joint
+    # With S, J the counts over 2^E, E = C(n,2): (J 2^E - S^2) / (J 2^E).
+    single = _scaled(unreachable_prob(n, 1), n)
+    joint = _scaled(joint_unreachable_prob(n, 1), n) << comb(n, 2)
+    return Fraction(joint - single * single, joint)
 
 
 def covariance_sign(n: int) -> int:
@@ -112,17 +113,11 @@ def table_row(n: int) -> KnRow:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     single = unreachable_prob(n, 1)
+    head = (n, DyadicProb.from_fraction(single), _scaled(single, n))
     if n == 2:
-        return KnRow(n, DyadicProb.from_fraction(single), _scaled(single, n), None, None, None)
+        return KnRow(*head, None, None, None)
     joint = joint_unreachable_prob(n, 1)
-    return KnRow(
-        n=n,
-        p_single=DyadicProb.from_fraction(single),
-        scaled_single=_scaled(single, n),
-        p_joint=DyadicProb.from_fraction(joint),
-        scaled_joint=_scaled(joint, n),
-        rel_cov=relative_covariance(n),
-    )
+    return KnRow(*head, DyadicProb.from_fraction(joint), _scaled(joint, n), relative_covariance(n))
 
 
 def double_binomial_sum(n: int) -> Fraction:

@@ -51,7 +51,8 @@ class DyadicProb:
         return Fraction(self.num, 1 << self.exp)
 
     def __float__(self) -> float:
-        return float(self.as_fraction())
+        # Correctly rounded int division, as Fraction.__float__ does, with no gcd.
+        return self.num / (1 << self.exp)
 
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
@@ -75,7 +76,7 @@ class SignedDyadic:
         return self.sign * self.magnitude.as_fraction()
 
     def __float__(self) -> float:
-        return float(self.as_fraction())
+        return self.sign * float(self.magnitude)
 
     def __str__(self) -> str:
         prefix = "-" if self.sign < 0 else ""
@@ -117,12 +118,7 @@ class TripleCorrelation:
 
 def fraction_to_decimal(value: Fraction, places: int) -> str:
     """Render an exact rational to fixed decimal places, rounding half to even."""
-    negative = value < 0
-    num = abs(value.numerator) * 10**places
-    den = value.denominator
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
+    q = round(abs(value) * 10**places)  # Fraction rounds exactly, half to even
     whole, frac = divmod(q, 10**places)
     text = f"{whole}.{frac:0{places}d}" if places else str(whole)
-    return "-" + text if negative and q else text
+    return "-" + text if value < 0 and q else text

@@ -7,6 +7,7 @@ orientation words throughout the package (bit set means u -> v).
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -181,9 +182,11 @@ def emit_graph6(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain format: first line n, then one 'u v' pair per line.
 
-    Blank lines are skipped; error messages number lines as the text does.
+    Lines end at LF, CRLF or CR, as in a file read as text, and at no other
+    Unicode separator. Blank lines are skipped; error messages number lines
+    as the text does.
     """
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(io.StringIO(text, newline=None), start=1)
     lines = [(lineno, ln) for lineno, raw in numbered if (ln := raw.strip())]
     if not lines:
         raise GraphFormatError("empty edge list")

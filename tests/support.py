@@ -216,3 +216,16 @@ def ref_strip_twos(num: int, exp: int) -> tuple[int, int]:
         num //= 2
         exp -= 1
     return num, exp
+
+
+def ref_fraction_to_decimal(value: Fraction, places: int) -> str:
+    """Fixed decimal places by integer divmod and a hand-written half-to-even tie test."""
+    negative = value < 0
+    num = abs(value.numerator) * 10**places
+    den = value.denominator
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    whole, frac = divmod(q, 10**places)
+    text = f"{whole}.{frac:0{places}d}" if places else str(whole)
+    return "-" + text if negative and q else text

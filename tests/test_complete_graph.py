@@ -232,6 +232,12 @@ def test_envelope_equalities_at_small_n():
     assert joint_unreachable_prob(3, 1) == Fraction(1, 8) * (3 - 2)
 
 
+def test_relative_covariance_is_the_ratio_of_the_exact_laws():
+    for n in range(3, 121):
+        single, joint = unreachable_prob(n, 1), joint_unreachable_prob(n, 1)
+        assert relative_covariance(n) == (joint - single * single) / joint
+
+
 def test_relative_covariance_trend_toward_one_third():
     deviations = [abs(relative_covariance(n) - Fraction(1, 3)) for n in range(10, 16)]
     assert all(x > y for x, y in zip(deviations, deviations[1:]))

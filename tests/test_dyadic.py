@@ -14,7 +14,7 @@ from orientcorr import (
     parse_dyadic,
 )
 from orientcorr.dyadic import _strip_twos
-from support import ref_strip_twos
+from support import ref_fraction_to_decimal, ref_strip_twos
 
 
 def test_normal_form():
@@ -71,6 +71,31 @@ def test_normalization_preserves_value(num, exp):
     assert parse_dyadic(str(p)) == p
 
 
+# Signed numerators over 2^exp, exp <= 5000: any value in [-1, 1], or one of
+# magnitude at most 2^-1020, which covers the subnormal band and underflow.
+_SIGNED_DYADICS = st.integers(0, 5000).flatmap(lambda exp: st.tuples(
+    st.integers(-(1 << exp), 1 << exp)
+    | st.integers(-(1 << max(exp - 1020, 0)), 1 << max(exp - 1020, 0)),
+    st.just(exp)))
+
+
+@given(_SIGNED_DYADICS)
+@example((0, 0))
+@example((-1, 0))
+@example((1, 1074))             # the least subnormal double
+@example((-1, 1075))            # half of it: a tie that rounds to -0.0
+@example((3, 1076))             # three quarters of it: rounds up to it
+@example(((1 << 52) - 1, 1074)) # the largest subnormal
+@example((-1, 5000))            # a negative covariance that underflows to -0.0
+@example(((1 << 53) + 1, 54))   # a tie between doubles next to 1/2
+@example(((1 << 53) + 3, 54))   # the tie on the other side
+def test_float_is_the_fraction_float_bit_for_bit(case):
+    cov = SignedDyadic.of(*case)
+    for value in (cov, cov.magnitude):
+        # hex() tells the two zeros apart.
+        assert float(value).hex() == float(value.as_fraction()).hex()
+
+
 @given(st.integers(-2**20, 2**20), st.integers(0, 300), st.integers(0, 320))
 @example(0, 0, 5)
 @example(1, 0, 0)
@@ -96,3 +121,17 @@ def test_decimal_rendering_half_even_ties():
     assert fraction_to_decimal(Fraction(3, 8), 2) == "0.38"
     assert fraction_to_decimal(Fraction(-1, 8), 2) == "-0.12"
     assert fraction_to_decimal(Fraction(-1, 80000000), 6) == "0.000000"
+
+
+@given(st.fractions(), st.integers(0, 12))
+def test_decimal_rendering_matches_the_divmod_reference(value, places):
+    assert fraction_to_decimal(value, places) == ref_fraction_to_decimal(value, places)
+
+
+@pytest.mark.parametrize("places", range(5))
+def test_decimal_rendering_of_every_k_over_2000(places):
+    # Holds exact ties of both signs and both parities at 0-3 places, and
+    # negative values that round to zero, which print without a minus.
+    for k in range(-2000, 2000):
+        value = Fraction(k, 2000)
+        assert fraction_to_decimal(value, places) == ref_fraction_to_decimal(value, places)

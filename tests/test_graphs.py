@@ -144,6 +144,10 @@ def test_edge_list_roundtrip():
     # Line numbers count blank lines, as an editor does.
     _error_case("3\n\n0 1\n1 x\n", "line 4: non-integer endpoint in '1 x'", "non-integer"),
     _error_case("\n\n3\n0 1\n1 2 3\n", "line 5: expected 'u v', got '1 2 3'", "expected 'u v'"),
+    # Lines end only where a file read as text ends them, not at other
+    # separators that str.splitlines knows.
+    _error_case("3\n0 1\x851 2\n", "line 2: expected 'u v', got '0 1\\x851 2'", "expected 'u v'"),
+    _error_case("3\n0 1\x0c1 x\n", "line 2: expected 'u v', got '0 1\\x0c1 x'", "expected 'u v'"),
 ])
 def test_edge_list_errors(text, message):
     with pytest.raises(GraphFormatError) as err:
@@ -152,17 +156,20 @@ def test_edge_list_errors(text, message):
 
 
 _G6_CHARS = st.characters(min_codepoint=60, max_codepoint=130)
-_EDGE_ROWS = st.one_of(
+_PLAIN_ROWS = st.one_of(
     st.sampled_from(["", " ", "\t", "x", "0", "1 2 3", "0 a"]),
     st.builds("{} {}".format, st.integers(-1, 6), st.integers(-1, 6)),
 )
+# Separators that str.splitlines breaks at but a file read as text does not.
+_NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_EDGE_ROWS = _PLAIN_ROWS | st.builds("{}{}{}".format, _PLAIN_ROWS, st.sampled_from(_NOT_LINE_ENDS), _PLAIN_ROWS)
 _GRAPH_TEXTS = st.one_of(
     st.text(),
     st.builds(lambda header, n, body: header + chr(63 + n) + body,
               st.sampled_from(["", ">>graph6<<"]), st.integers(0, 64), st.text(_G6_CHARS, max_size=12)),
-    st.builds(lambda first, rows, end: "\n".join([first, *rows]) + end,
+    st.builds(lambda first, rows, sep, end: sep.join([first, *rows]) + end,
               st.sampled_from(["", " ", "3", "5", "x", "70"]), st.lists(_EDGE_ROWS, max_size=10),
-              st.sampled_from(["", "\n", "\r\n"])),
+              st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["", "\n", "\r\n"])),
 )
 
 
@@ -174,7 +181,7 @@ def _check_diagnostic(parse, text):
     else:
         return
     if line := re.match(r"line (\d+): ", message):
-        lines = text.splitlines()
+        lines = re.split(r"\r\n|\r|\n", text)  # as a file read as text
         k = int(line[1])
         assert 1 <= k <= len(lines) and lines[k - 1].strip(), message
         assert message.endswith(repr(lines[k - 1].strip())), message
