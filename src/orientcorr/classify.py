@@ -168,18 +168,13 @@ def has_minor(g: Graph, h: Graph) -> bool:
     if h.n > g.n:
         return False
     subsets = _connected_subsets(g)
-    nbr_of = {mask: neighbours(g.adjacency, mask) & ~mask for mask in subsets}
-    # Place high-degree vertices of h first: their adjacency constraints
-    # prune hardest.
-    h_deg = [h.adjacency[v].bit_count() for v in range(h.n)]
-    order = sorted(range(h.n), key=lambda v: -h_deg[v])
+    nbr_of = {mask: neighbours(g.adjacency, mask) for mask in subsets}
     placed: list[int] = []
 
     def place(idx: int, used: int) -> bool:
-        if idx == len(order):
+        if idx == h.n:
             return True
-        hv = order[idx]
-        required = [j for j in range(idx) if h.has_edge(hv, order[j])]
+        required = [j for j in range(idx) if h.has_edge(idx, j)]
         for mask in subsets:
             if mask & used:
                 continue

@@ -129,8 +129,6 @@ def double_binomial_sum(n: int) -> Fraction:
     the terms are accumulated as one integer numerator over 2^top, the
     largest of those denominators.
     """
-    if n < 2:
-        return Fraction(0)
     top = (n // 2) * ((n + 1) // 2)
     num = 0
     for k in range(1, n):
@@ -147,8 +145,6 @@ def triple_binomial_sum(n: int) -> Fraction:
     ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
     on i, so each k contributes one integer over 2^(k(n-k)).
     """
-    if n < 3:
-        return Fraction(0)
     top = (n // 2) * ((n + 1) // 2)
     num = 0
     for k in range(1, n):

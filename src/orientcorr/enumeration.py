@@ -241,7 +241,8 @@ def run_batches(
     and reduce maps them to an int64 count array.  live marks the bits of
     those words that lie below `count`: all of them but the tail of the
     last word, so a reduce counts nothing outside it.  The words are cut
-    into batches of `step`, shared among `threads` threads.
+    into batches of `step`, shared among `threads` threads, never more
+    than the cores or the batches.
     """
     words = -(-count // 64)
 
@@ -254,7 +255,7 @@ def run_batches(
     starts = range(0, words, step)
     threads = min(resolve_threads(threads), len(starts))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             return sum(pool.map(run, starts))
     return sum(map(run, starts))
 

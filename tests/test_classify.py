@@ -227,15 +227,32 @@ def test_minor_search_bounds():
         has_minor(path_graph(11), complete_graph(4))
 
 
-def test_outerplanar_every_graph_on_at_most_5_vertices():
-    # All 1,099 labelled graphs on 1-5 vertices: every placement of both
-    # minimal obstructions, K4 and K2,3, with or without more edges.
-    k4, k23 = complete_graph(4), k2(3)
+def _labelled_graphs_to_5():
+    """All 1,099 labelled graphs on 1-5 vertices."""
     for n in range(1, 6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for mask in range(1 << len(pairs)):
-            g = graph_from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
-            assert is_outerplanar(g) == (not has_minor(g, k4) and not has_minor(g, k23)), g
+            yield graph_from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def test_outerplanar_every_graph_on_at_most_5_vertices():
+    # Every placement of both minimal obstructions, K4 and K2,3, with or
+    # without more edges.
+    k4, k23 = complete_graph(4), k2(3)
+    for g in _labelled_graphs_to_5():
+        assert is_outerplanar(g) == (not has_minor(g, k4) and not has_minor(g, k23)), g
+
+
+def test_minor_search_does_not_depend_on_the_labelling_of_h():
+    # The search places h's vertices in index order.  k2(3) lists its two
+    # degree-3 vertices first; this copy lists them last.
+    k23, k23_last = k2(3), graph_from_edges(5, [(u, v) for u in (3, 4) for v in range(3)])
+    found = 0
+    for g in _labelled_graphs_to_5():
+        expected = has_minor(g, k23)
+        assert has_minor(g, k23_last) == expected, g
+        found += expected
+    assert found == 106
 
 
 def test_outerplanar_goldens():

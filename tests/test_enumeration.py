@@ -389,11 +389,9 @@ def test_sweep_source_rejects_a_vertex_out_of_range():
             sweep_source(path_graph(3), s)
 
 
-def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
-    # K7 has 2^15 words of 64 orientations, 16 batches, so a thread count
-    # above 1 runs them on a pool of that many workers, one pool per walk.
-    g = complete_graph(7)
-    assert (1 << g.m - 6) // _sweep_batch(g.n) == 16
+def _record_pools(monkeypatch, cores):
+    """Pretend the host has `cores` cores; the returned list collects each
+    thread pool's max_workers as the pool is made."""
     pools = []
 
     class RecordingPool(enumeration.ThreadPoolExecutor):
@@ -402,11 +400,32 @@ def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(enumeration, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cores)
+    return pools
+
+
+def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
+    # K7 has 2^15 words of 64 orientations, 16 batches, so a thread count
+    # above 1 runs them on a pool of that many workers, one pool per walk.
+    g = complete_graph(7)
+    assert (1 << g.m - 6) // _sweep_batch(g.n) == 16
+    pools = _record_pools(monkeypatch, cores=8)
     reference = sweep_sources(g, threads=1)
     for k in (2, 3):
         assert sweep_sources(g, threads=k) == reference
     assert pools == [2, 3]
     assert classify(g, threads=2) == classify(g, threads=1)
+
+
+def test_thread_pool_is_capped_at_the_cores(monkeypatch):
+    # C8 has 4 words of 64 orientations; at one word a batch that is 4
+    # batches, and on 2 cores a pool of 2 workers, however many threads
+    # are asked for.
+    pools = _record_pools(monkeypatch, cores=2)
+    monkeypatch.setattr(enumeration, "_batch_words", lambda n, m: 1)
+    g, t = cycle_graph(8), Triple(0, 2, 5)
+    assert count_events(g, t, threads=10**6) == count_events(g, t, threads=1)
+    assert pools == [2]
 
 
 def test_cap_over_62_is_rejected_up_front():
