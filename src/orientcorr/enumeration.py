@@ -35,20 +35,26 @@ in montecarlo), shares the batches among the threads and sums the
 per-batch reductions.  A triple batch is the largest power of two of words,
 at most 2^10, whose m edge planes and 2n reach rows fit a 4 MiB budget; a
 sweep batch, the largest whose (n, n, W) reach array fits 1 MiB.
+
+numpy loads on the first kernel call, not on import: only the functions
+that build arrays import it, so the closed forms (`kn`, `table`, `bounds`,
+`cycle`, `forest`) run without it.  run_batches imports it before any pool
+thread starts.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 import os
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .dyadic import TripleCorrelation
 from .graphs import Graph, Triple, distances
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CAP = 30
 # The kernel sums counts in int64, which holds a count of 2^62 words but
@@ -90,8 +96,7 @@ def resolve_threads(threads: int) -> int:
 
 # Bit j of plane i < 6 is bit i of j: within one word the six low edges
 # run through all 64 patterns.
-_LOW_PLANES = np.array([sum(1 << j for j in range(64) if j >> i & 1) for i in range(6)],
-                       dtype=np.uint64)
+_LOW_PLANES = [sum(1 << j for j in range(64) if j >> i & 1) for i in range(6)]
 # Bytes of one (n, n, W) array in a sweep batch: the reach planes, one
 # Warshall step's temporary and the reduce's temporaries each stay within
 # it, so together they fit the budget.  With half the budget for the
@@ -100,14 +105,24 @@ _LOW_PLANES = np.array([sum(1 << j for j in range(64) if j >> i & 1) for i in ra
 _SWEEP_BYTES = _BATCH_BYTES // 4
 
 
+@cache
+def _low_planes() -> np.ndarray:
+    """_LOW_PLANES as a (6,) uint64 array, built on the first call."""
+    import numpy as np
+
+    return np.array(_LOW_PLANES, dtype=np.uint64)
+
+
 def _edge_planes(m: int, lo: int, hi: int) -> np.ndarray:
     """Direction planes of edges 0..m-1 over words lo..hi-1, shape (m, hi - lo) of uint64.
 
     Bit j of word k of plane i is bit i of orientation 64 * (lo + k) + j:
     set when edge i = (u, v) points u -> v.
     """
+    import numpy as np
+
     planes = np.empty((m, hi - lo), dtype=np.uint64)
-    planes[:6] = _LOW_PLANES[:m, None]
+    planes[:6] = _low_planes()[:m, None]
     # Edges 6 and up are constant within a word: all ones when bit i - 6 of
     # its index is set, else all zeros.
     high = np.arange(max(m - 6, 0), dtype=np.uint64)[:, None]
@@ -166,6 +181,8 @@ def _close(arcs: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]], reach: np
     batch against 252, though a tail first reached within a sweep waits
     for the next, so long paths take more, cheaper sweeps.
     """
+    import numpy as np
+
     carry = np.empty_like(reach[0])
     before = np.empty_like(reach)
     diff = np.empty(reach.shape, dtype=bool)
@@ -184,6 +201,8 @@ def _close(arcs: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]], reach: np
 def _relax(n: int, t: Triple, arcs: list[tuple[int, int, int, bool]], planes: np.ndarray,
            live: np.ndarray) -> np.ndarray:
     """[#a->s, #s->b, #both] over one batch, by relaxing the arcs _arcs(g, t) lists."""
+    import numpy as np
+
     # reach[x] holds the orientations in which a reaches x (row 0) and those
     # in which s does (row 1): one contiguous block a vertex, which the
     # arcs read and write whole.
@@ -199,6 +218,8 @@ def _relax(n: int, t: Triple, arcs: list[tuple[int, int, int, bool]], planes: np
 
 def _sweep_all(g: Graph, planes: np.ndarray, live: np.ndarray) -> np.ndarray:
     """(n, n, n) counts [s][a][b] of orientations with a -> s and s -> b, over one batch."""
+    import numpy as np
+
     n = g.n
     # reach[x, v] has bit j of word k set when x reaches v in orientation
     # 64 k + j of the batch.  Every vertex reaches itself.
@@ -244,6 +265,9 @@ def run_batches(
     into batches of `step`, shared among `threads` threads, never more
     than the cores or the batches.
     """
+    # Here, not in run: the first import then never runs on a pool thread.
+    import numpy as np
+
     words = -(-count // 64)
 
     def run(lo: int) -> np.ndarray:

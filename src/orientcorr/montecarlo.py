@@ -22,6 +22,9 @@ The covariance standard error comes from the delta method on the 2x2
 indicator multinomial: with cell frequencies q11, q10, q01, q00 and
 gradient g = (1 - pc - pd, -pd, -pc, 0) of pcd - pc*pd, the variance
 estimate is (sum q_i g_i^2 - (sum q_i g_i)^2) / samples.
+
+numpy loads on the first kernel call, not on import: _sample_words and
+_sample_planes import it, as the batch kernel in enumeration does.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .enumeration import triple_counts
 from .graphs import MAX_VERTICES, Graph, Triple, graph_from_edges
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,6 +74,8 @@ class McEstimate:
 
 def _sample_words(seed: int, nwords: int, lo: int, hi: int) -> np.ndarray:
     """The (hi - lo, nwords) orientation words of samples lo..hi-1."""
+    import numpy as np
+
     # Word w of sample j takes counter j * nwords + w: counters lo * nwords
     # .. hi * nwords - 1 in order, so x starts as one range of counter + 1
     # and is mixed in place.
@@ -89,6 +96,8 @@ def _sample_planes(seed: int, m: int, lo: int, hi: int) -> np.ndarray:
 
     Bit j of word k of plane i is bit i of sample 64 (lo + k) + j.
     """
+    import numpy as np
+
     words = _sample_words(seed, -(-m // 64), 64 * lo, 64 * hi)
     # Octet k of every sample in one contiguous row: edge i is bit i % 8 of
     # row i // 8.  A strided column read per edge cost about twice as much.

@@ -618,3 +618,31 @@ def test_reader_closing_the_pipe_exits_141_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (141, b"")
+
+
+def _child_stdout(argv: list[str], stdin: str | None = None) -> str:
+    """The stdout of one whole CLI process, which must exit 0 and write no stderr."""
+    command, env = _child_command()
+    proc = subprocess.run(command + argv, env=env, input=stdin,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), argv
+    return proc.stdout
+
+
+# numpy loads on a process's first kernel call.  In these runs that call
+# also starts a pool of two threads.
+@pytest.mark.parametrize("argv", [
+    # K7: 16 sweep batches of 2,048 words.
+    ["classify", "--graph6", "F~~~w", "--json"],
+    # K5: 4 sample batches of 1,024 words.
+    ["mc", "--graph6", "D~{", "--a", "0", "--s", "1", "--b", "2", "--samples", "200000", "--seed", "5"],
+], ids=["classify K7", "mc K5"])
+def test_first_kernel_call_of_a_process_can_start_the_pool(argv):
+    assert _child_stdout(argv + ["--threads", "2"]) == _child_stdout(argv + ["--threads", "1"])
+
+
+@pytest.mark.parametrize("name", ["exact edges stdin", "mc graph6 --json", "mc edges stdin",
+                                  "classify outerplanar K5 --json"])
+def test_first_kernel_call_of_a_process_matches_the_snapshot(name):
+    [case] = [case for case in GOLDEN if case["name"] == name]
+    assert _child_stdout(case["argv"] + ["--threads", "2"], case["stdin"]) == case["stdout"]

@@ -11,7 +11,9 @@ tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
 would notice.  Every module-level import of a package or test module is
 used in that module (the package's __init__ imports to re-export).
 Importing the CLI builds no argument parser: that waits for the first
-main() call, so the import stays cheap.
+main() call, so the import stays cheap.  Nor does it load numpy: only the
+batch kernel behind `exact`, `mc` and `classify` does, on its first call,
+so the closed-form commands run without it.
 """
 
 import ast
@@ -24,6 +26,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+
+from test_cli import _child_command
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "orientcorr").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
@@ -100,3 +104,48 @@ def test_importing_the_cli_builds_no_parser():
     printed = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True, timeout=60)
     assert printed.stdout == "0\n"
+
+
+# Each closed-form subcommand once, in and out of JSON mode.
+CLOSED_FORMS = [["kn", "--n", "12"], ["--json", "table", "--max-n", "30"],
+                ["bounds", "--max-n", "12"], ["cycle", "--n", "12", "--a", "0", "--s", "3", "--b", "7"],
+                ["--json", "forest", "--graph6", "Ch", "--a", "0", "--s", "1", "--b", "2"]]
+
+
+def test_closed_form_commands_load_no_numpy():
+    # A fresh interpreter, so no earlier test has loaded numpy.  The one
+    # exact run at the end shows that the probe sees numpy once it loads.
+    probe = f"""
+import contextlib, io, sys
+import orientcorr, orientcorr.cli, orientcorr.montecarlo
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "numpy")
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [orientcorr.cli.main(argv) for argv in {CLOSED_FORMS!r}]
+    before = loaded()
+    orientcorr.cli.main(["exact", "--graph6", "C~", "--a", "0", "--s", "1", "--b", "2"])
+print(codes, before, "numpy" in loaded())
+"""
+    _, env = _child_command()
+    printed = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+    assert printed.stdout == "[0, 0, 0, 0, 0] [] True\n"
+
+
+@pytest.mark.parametrize("argv, numpy", [
+    (["cycle", "--n", "12", "--a", "0", "--s", "3", "--b", "7"], False),
+    (["exact", "--graph6", "C~", "--a", "0", "--s", "1", "--b", "2"], True),
+], ids=["cycle", "exact"])
+def test_whole_command_imports_numpy_only_for_the_kernel(argv, numpy):
+    # The installed wrapper where there is one, as CI runs it; the import
+    # time report (stderr) names every module the process imported.
+    command, env = _child_command()
+    env["PYTHONPROFILEIMPORTTIME"] = "1"
+    proc = subprocess.run(command + argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "orientcorr.closed_form" in imported
+    assert ("numpy" in imported) is numpy
