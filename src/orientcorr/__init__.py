@@ -41,6 +41,7 @@ from .complete import (
     relative_covariance,
     sign_margin,
     table_row,
+    table_rows,
     triple_binomial_sum,
     unreachable_prob,
 )
@@ -70,5 +71,5 @@ __all__ = [
     "is_outerplanar", "joint_unreachable_prob", "mc_estimate", "mix64",
     "parse_dyadic", "parse_edge_list", "parse_graph6", "path_graph",
     "relative_covariance", "sign_margin", "sweep_source", "sweep_sources",
-    "table_row", "triple_binomial_sum", "unreachable_prob",
+    "table_row", "table_rows", "triple_binomial_sum", "unreachable_prob",
 ]

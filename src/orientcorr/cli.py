@@ -143,7 +143,7 @@ def cmd_kn(args) -> int:
 def cmd_table(args) -> int:
     if args.max_n < 2:
         return _usage_error(f"table: need --max-n >= 2, got {args.max_n}")
-    cells = [_table_cells(complete.table_row(n)) for n in range(2, args.max_n + 1)]
+    cells = [_table_cells(row) for row in complete.table_rows(args.max_n)]
     record = _record("table", max_n=args.max_n, rows=[dict(zip(TABLE_HEADER, row)) for row in cells])
     lines = [TABLE_HEADER] + [tuple("-" if c is None else str(c) for c in row) for row in cells]
     # Each column fits its header and cells; n and the last two decimal

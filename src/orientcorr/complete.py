@@ -14,7 +14,11 @@ J^(k) G = G^(k) U^(1) of exponential generating functions:
         - sum_{j=k+1}^{n-1} C(n-k-1, j-k-1) U_j 2^C(n-j,2),
   J_n = sum_{i=k}^{n-2} C(n-k-2, i-k) 2^C(i,2) U^(1)_{n-i}
         - sum_{j=k+2}^{n-1} C(n-k-2, j-k-2) J_j 2^C(n-j,2).
-Each state sums integers from smaller n and builds one Fraction.
+One bottom-up pass over n fills a list of these counts for every n up to
+the largest asked for, in Python ints, and nothing is normalised on the
+way; a Fraction or DyadicProb is built only for the n a caller reads.
+Each command runs one pass: `table` and `bound_report` read all their
+rows from it, and the two lru-cached probabilities are views of it.
 """
 
 from __future__ import annotations
@@ -36,9 +40,48 @@ _C_MARGIN_1 = Fraction(32, 5)           # 6.4
 _C_MARGIN_2 = Fraction(256, 25)         # 10.24
 
 
-def _scaled(value: Fraction, n: int) -> int:
-    """value * 2^C(n,2) for a value whose denominator divides 2^C(n,2): a shifted numerator."""
-    return value.numerator << (comb(n, 2) + 1 - value.denominator.bit_length())
+def _single_counts(n_max: int, k: int) -> list[int]:
+    """U_n for the k-set, every n <= n_max; 0 below the smallest valid n."""
+    e = [m * (m - 1) // 2 for m in range(n_max + 1)]
+    if k == 0:
+        return [0] + [1 << x for x in e[1:]]
+    u = [0] * (n_max + 1)
+    for n in range(k + 1, n_max + 1):
+        # Term i of the first sum and term j = i + 1 of the second share C(w, i-k).
+        w = n - k - 1
+        total = 0
+        for i in range(k, n - 1):
+            c = comb(w, i - k)
+            total += (c << (e[i] + e[n - i])) - (c * u[i + 1] << e[n - i - 1])
+        u[n] = total + (1 << e[n - 1])  # i = n - 1, where C(w, w) = 1 and C(1,2) = 0
+    return u
+
+
+def _joint_counts(n_max: int, k: int, single: list[int]) -> list[int]:
+    """J_n for the k-set, every n <= n_max, from single = U_m at k = 1 for m <= n_max."""
+    if k == 0:
+        return single
+    e = [m * (m - 1) // 2 for m in range(n_max + 1)]
+    joint = [0] * (n_max + 1)
+    for n in range(k + 2, n_max + 1):
+        # Term i of the first sum and term j = i + 2 of the second share C(w, i-k).
+        w = n - k - 2
+        total = single[2] << e[n - 2]  # i = n - 2, where C(w, w) = 1
+        for i in range(k, n - 2):
+            c = comb(w, i - k)
+            total += (c * single[n - i] << e[i]) - (c * joint[i + 2] << e[n - i - 2])
+        joint[n] = total
+    return joint
+
+
+def _laws(n_max: int) -> tuple[list[int], list[int]]:
+    """The single and joint counts at k = 1 for every n <= n_max: the K_n pass."""
+    single = _single_counts(n_max, 1)
+    return single, _joint_counts(n_max, 1, single)
+
+
+def _fraction(count: int, n: int) -> Fraction:
+    return DyadicProb.of(count, comb(n, 2)).as_fraction()
 
 
 @lru_cache(maxsize=None)
@@ -46,17 +89,9 @@ def unreachable_prob(n: int, k: int) -> Fraction:
     """P(no directed path from any of a k-set to the target) on K_n."""
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
-    if k == 0:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got n={n}")
-        return Fraction(1)
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
-    w = n - k - 1
-    total = sum(comb(w, i - k) << (comb(i, 2) + comb(n - i, 2)) for i in range(k, n))
-    total -= sum(comb(w, j - k - 1) * _scaled(unreachable_prob(j, k), j) << comb(n - j, 2)
-                 for j in range(k + 1, n))
-    return DyadicProb.of(total, comb(n, 2)).as_fraction()
+    return _fraction(_single_counts(n, k)[n], n)
 
 
 @lru_cache(maxsize=None)
@@ -64,30 +99,20 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
     """P(k-set has no path to the target and the target none to a third vertex)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
-    if k == 0:
-        return unreachable_prob(n, 1)
     if n < k + 2:
         raise ValueError(f"need n >= k+2, got n={n}, k={k}")
-    w = n - k - 2
-    total = sum(comb(w, i - k) * _scaled(unreachable_prob(n - i, 1), n - i) << comb(i, 2)
-                for i in range(n - 2, k - 1, -1))
-    total -= sum(comb(w, j - k - 2) * _scaled(joint_unreachable_prob(j, k), j) << comb(n - j, 2)
-                 for j in range(k + 2, n))
-    return DyadicProb.of(total, comb(n, 2)).as_fraction()
+    return _fraction(_joint_counts(n, k, _single_counts(n, 1))[n], n)
 
 
 def relative_covariance(n: int) -> Fraction:
     """(p_joint - p_single^2) / p_joint for K_n, n >= 3."""
-    # With S, J the counts over 2^E, E = C(n,2): (J 2^E - S^2) / (J 2^E).
-    single = _scaled(unreachable_prob(n, 1), n)
-    joint = _scaled(joint_unreachable_prob(n, 1), n) << comb(n, 2)
-    return Fraction(joint - single * single, joint)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    return table_row(n).rel_cov
 
 
 def covariance_sign(n: int) -> int:
     """Sign of the covariance of the two no-path events on K_n, n >= 3."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     # The joint probability is positive, so it cannot flip the sign.
     rel = relative_covariance(n)
     return (rel > 0) - (rel < 0)
@@ -109,15 +134,29 @@ class KnRow:
     rel_cov: Fraction | None
 
 
+def _row(n: int, single: int, joint: int) -> KnRow:
+    e = comb(n, 2)
+    head = (n, DyadicProb.of(single, e), single)
+    if n == 2:
+        return KnRow(*head, None, None, None)
+    # With S, J the counts over 2^E: rel_cov = (J 2^E - S^2) / (J 2^E).
+    den = joint << e
+    return KnRow(*head, DyadicProb.of(joint, e), joint, Fraction(den - single * single, den))
+
+
 def table_row(n: int) -> KnRow:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    single = unreachable_prob(n, 1)
-    head = (n, DyadicProb.from_fraction(single), _scaled(single, n))
-    if n == 2:
-        return KnRow(*head, None, None, None)
-    joint = joint_unreachable_prob(n, 1)
-    return KnRow(*head, DyadicProb.from_fraction(joint), _scaled(joint, n), relative_covariance(n))
+    single, joint = _laws(n)
+    return _row(n, single[n], joint[n])
+
+
+def table_rows(n_max: int) -> list[KnRow]:
+    """The rows for 2 <= n <= n_max, all read off one pass."""
+    if n_max < 2:
+        raise ValueError(f"need n_max >= 2, got {n_max}")
+    single, joint = _laws(n_max)
+    return [_row(n, single[n], joint[n]) for n in range(2, n_max + 1)]
 
 
 def double_binomial_sum(n: int) -> Fraction:
@@ -143,16 +182,25 @@ def triple_binomial_sum(n: int) -> Fraction:
     Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
     j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
     ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
-    on i, so each k contributes one integer over 2^(k(n-k)).
+    on i, so each k contributes one integer over 2^(k(n-k)):
+    C(n,k) times the sum over j of C(n-k, j) ((2^j + 1)^k - 2^(jk)).  With j
+    outside and k inside, (2^j + 1)^k takes one multiplication per step of
+    k; the binomial theorem sums the 2^(jk) parts in one power per k.
     """
     top = (n // 2) * ((n + 1) // 2)
+    inner = [0] * n
+    for j in range(1, n - 1):
+        base = (1 << j) + 1
+        power = 1
+        for k in range(1, n - j):
+            power *= base
+            inner[k] += comb(n - k, j) * power
     num = 0
-    for k in range(1, n):
-        inner = 0
-        for i in range(1, n - k):
-            j = n - k - i
-            inner += comb(n - k, i) * (((1 << j) + 1) ** k - (1 << (j * k)))
-        num += comb(n, k) * inner << (top - k * (n - k))
+    for k in range(1, n - 1):
+        e = k * (n - k)
+        # The sum over 1 <= j <= n-k-1 of C(n-k, j) 2^(jk).
+        powers = ((1 << k) + 1) ** (n - k) - 1 - (1 << e)
+        num += comb(n, k) * (inner[k] - powers) << (top - e)
     return Fraction(num, 1 << top)
 
 
@@ -200,14 +248,15 @@ def bound_report(n_max: int) -> list[BoundRow]:
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     half = Fraction(1, 2)
+    singles, joints = _laws(n_max)
     rows = []
     prev_margin = None
     for n in range(2, n_max + 1):
-        single = unreachable_prob(n, 1)
+        single = _fraction(singles[n], n)
         single_lo = half ** (n - 2) * (1 - half ** (n - 1))
         single_hi = half ** (n - 2) * (1 + _C_SINGLE_UPPER * Fraction(7, 8) ** (n - 1))
         if n >= 3:
-            joint = joint_unreachable_prob(n, 1)
+            joint = _fraction(joints[n], n)
             joint_lo = half ** (2 * n - 3) * (3 - 2 * half ** (n - 3))
             joint_hi = half ** (2 * n - 3) * (3 + _C_JOINT_UPPER * Fraction(7, 8) ** (n - 3))
             joint_lower_ok = joint_lo <= joint

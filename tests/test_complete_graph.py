@@ -1,8 +1,10 @@
 """Complete-graph recursions, the scaled table, and the analytic bounds."""
 
+import ast
 import dataclasses
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from orientcorr import (
     relative_covariance,
     sign_margin,
     table_row,
+    table_rows,
     triple_binomial_sum,
     unreachable_prob,
 )
@@ -58,12 +61,16 @@ def test_base_cases():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need n >= k\+1, got n=0, k=0"):
         unreachable_prob(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need n >= k\+1, got n=3, k=3"):
         unreachable_prob(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need n >= k\+2, got n=3, k=2"):
         joint_unreachable_prob(3, 2)
+    # k = 0 needs n >= 2, and the message names the caller's own k.
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=rf"need n >= k\+2, got n={n}, k=0"):
+            joint_unreachable_prob(n, 0)
     for n, k in [(5, -1), (3, -2), (6, -3), (0, -1)]:
         for prob in (unreachable_prob, joint_unreachable_prob):
             with pytest.raises(ValueError, match="need k >= 0"):
@@ -72,6 +79,8 @@ def test_domain_errors():
         covariance_sign(2)
     with pytest.raises(ValueError):
         table_row(1)
+    with pytest.raises(ValueError):
+        table_rows(1)
     with pytest.raises(ValueError):
         bound_report(2)
 
@@ -113,12 +122,15 @@ def test_recursions_match_fraction_reference():
 def test_table_rows_match_out_set_recursion():
     # A second oracle, carried to large n: it sums over a's reach set with
     # an explicit count of the tournaments in which a reaches everything,
-    # which the library's recursions never form.
+    # which the library's recursions never form.  The rows come from the
+    # one pass that `table` runs.
     single, joint = ref_out_set_counts(120)
-    for n in range(2, 121):
-        row = table_row(n)
-        assert row.scaled_single == single[n], n
-        assert row.scaled_joint == joint.get(n), n
+    rows = table_rows(120)
+    assert [row.n for row in rows] == list(range(2, 121))
+    for row in rows:
+        assert row.scaled_single == single[row.n], row.n
+        assert row.scaled_joint == joint.get(row.n), row.n
+    assert rows[-1] == table_row(120)
 
 
 def _recursion_depth():
@@ -137,9 +149,9 @@ def _recursion_depth():
 
 
 def test_cold_row_keeps_few_states_and_a_flat_stack():
-    # Each state reads only smaller n of the same two caches, visited from
-    # the bottom up, so a cold row needs O(n) states and a stack of fixed
-    # depth.
+    # A row reads its counts off one loop over n, not through the two
+    # cached probabilities, so a cold row leaves no state in their caches
+    # and needs a stack of fixed depth.
     unreachable_prob.cache_clear()
     joint_unreachable_prob.cache_clear()
     limit = sys.getrecursionlimit()
@@ -150,11 +162,42 @@ def test_cold_row_keeps_few_states_and_a_flat_stack():
         sys.setrecursionlimit(limit)
     assert row.rel_cov is not None
     states = unreachable_prob.cache_info().currsize + joint_unreachable_prob.cache_info().currsize
-    assert states <= 2 * 150
+    assert states == 0
+
+
+def test_complete_holds_no_memo_but_the_two_cleared_caches():
+    """complete.py memoises nothing but unreachable_prob and joint_unreachable_prob.
+
+    The benchmark worker (perfbench/worker.py) clears exactly those two
+    lru_caches before each query, as a fresh process starts with them empty.
+    Any other memo in the module (a cache decorator, or a module-level dict,
+    list or set filled at run time) would carry results from one query to
+    the next, and its warm hits would read as a speed-up of the code.
+    """
+    path = Path(__file__).resolve().parent.parent / "src" / "orientcorr" / "complete.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    cached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if "cache" in name:
+                    cached.add(node.name)
+        assert not isinstance(node, (ast.Global, ast.Nonlocal)), ast.unparse(node)
+    assert cached == {"unreachable_prob", "joint_unreachable_prob"}
+    mutable = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            value = node.value
+            called = value.func.id if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) else ""
+            assert not isinstance(value, mutable), ast.unparse(node)
+            assert called not in {"dict", "list", "set", "defaultdict", "OrderedDict", "deque"}, \
+                ast.unparse(node)
 
 
 def test_auxiliary_sums_match_triple_loop_reference():
-    for n in range(0, 41):
+    for n in range(0, 61):
         assert double_binomial_sum(n) == ref_double_binomial_sum(n), n
         assert triple_binomial_sum(n) == ref_triple_binomial_sum(n), n
 
@@ -233,9 +276,23 @@ def test_envelope_equalities_at_small_n():
 
 
 def test_relative_covariance_is_the_ratio_of_the_exact_laws():
-    for n in range(3, 121):
-        single, joint = unreachable_prob(n, 1), joint_unreachable_prob(n, 1)
-        assert relative_covariance(n) == (joint - single * single) / joint
+    # The laws come from one pass; each view runs a pass of its own, and the
+    # views are checked against the rows in test_views_match_the_rows.
+    for row in table_rows(120)[1:]:
+        single, joint = row.p_single.as_fraction(), row.p_joint.as_fraction()
+        assert relative_covariance(row.n) == (joint - single * single) / joint == row.rel_cov
+
+
+def test_views_match_the_rows():
+    # The two cached probabilities and the rows read the same counts.
+    rows = table_rows(60)
+    for n in (2, 3, 4, 5, 17, 31, 60):
+        row = rows[n - 2]
+        assert unreachable_prob(n, 1) == row.p_single.as_fraction()
+        if n >= 3:
+            assert joint_unreachable_prob(n, 1) == row.p_joint.as_fraction()
+            assert covariance_sign(n) == (row.rel_cov > 0) - (row.rel_cov < 0)
+    assert joint_unreachable_prob(60, 0) == unreachable_prob(60, 1)
 
 
 def test_relative_covariance_trend_toward_one_third():
