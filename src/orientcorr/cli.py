@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 
-from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal
+from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, ratio_to_decimal
 from .graphs import Graph, GraphFormatError, Triple, parse_edge_list, parse_graph6
 from .enumeration import DEFAULT_CAP, OverCapError, check_cap, count_events, resolve_threads
 from . import closed_form, complete
@@ -99,15 +99,20 @@ def _correlation_lines(cor: TripleCorrelation) -> str:
 TABLE_HEADER = ("n", "scaled_single", "p_single", "scaled_joint", "p_joint", "rel_cov")
 
 
+def _dyadic_decimal(p: DyadicProb, places: int) -> str:
+    return ratio_to_decimal(p.num, 1 << p.exp, places)
+
+
 def _table_cells(r: complete.KnRow) -> tuple:
     """One table row in TABLE_HEADER order; None where n is too small for a value."""
+    rel_cov = r.rel_cov_ratio()
     return (
         r.n,
         str(r.scaled_single),
-        fraction_to_decimal(r.p_single.as_fraction(), 4),
+        _dyadic_decimal(r.p_single, 4),
         str(r.scaled_joint) if r.scaled_joint is not None else None,
-        fraction_to_decimal(r.p_joint.as_fraction(), 7) if r.p_joint else None,
-        fraction_to_decimal(r.rel_cov, 6) if r.rel_cov is not None else None,
+        _dyadic_decimal(r.p_joint, 7) if r.p_joint else None,
+        ratio_to_decimal(*rel_cov, 6) if rel_cov is not None else None,
     )
 
 

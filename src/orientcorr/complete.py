@@ -30,16 +30,6 @@ from math import comb
 
 from .dyadic import DyadicProb
 
-# Exact forms of the decimal constants in the envelope bounds.
-_C_SINGLE_UPPER = Fraction(16, 5)       # 3.2
-_C_JOINT_UPPER = Fraction(104, 5)       # 20.8
-_C_SUM2_A = Fraction(28, 5)             # 5.6
-_C_SUM2_B = Fraction(68, 5)             # 13.6
-_C_SUM3 = Fraction(4)
-_C_MARGIN_1 = Fraction(32, 5)           # 6.4
-_C_MARGIN_2 = Fraction(256, 25)         # 10.24
-
-
 def _single_counts(n_max: int, k: int) -> list[int]:
     """U_n for the k-set, every n <= n_max; 0 below the smallest valid n."""
     e = [m * (m - 1) // 2 for m in range(n_max + 1)]
@@ -131,17 +121,28 @@ class KnRow:
     scaled_single: int
     p_joint: DyadicProb | None
     scaled_joint: int | None
-    rel_cov: Fraction | None
+
+    def rel_cov_ratio(self) -> tuple[int, int] | None:
+        """rel_cov as an unreduced (numerator, denominator) pair; None for n = 2."""
+        if self.scaled_joint is None:
+            return None
+        # With S, J the counts over 2^E: rel_cov = (J 2^E - S^2) / (J 2^E).
+        den = self.scaled_joint << comb(self.n, 2)
+        return den - self.scaled_single * self.scaled_single, den
+
+    @property
+    def rel_cov(self) -> Fraction | None:
+        """The relative covariance, reduced when read; None for n = 2."""
+        ratio = self.rel_cov_ratio()
+        return None if ratio is None else Fraction(*ratio)
 
 
 def _row(n: int, single: int, joint: int) -> KnRow:
     e = comb(n, 2)
     head = (n, DyadicProb.of(single, e), single)
     if n == 2:
-        return KnRow(*head, None, None, None)
-    # With S, J the counts over 2^E: rel_cov = (J 2^E - S^2) / (J 2^E).
-    den = joint << e
-    return KnRow(*head, DyadicProb.of(joint, e), joint, Fraction(den - single * single, den))
+        return KnRow(*head, None, None)
+    return KnRow(*head, DyadicProb.of(joint, e), joint)
 
 
 def table_row(n: int) -> KnRow:
@@ -159,35 +160,28 @@ def table_rows(n_max: int) -> list[KnRow]:
     return [_row(n, single[n], joint[n]) for n in range(2, n_max + 1)]
 
 
-def double_binomial_sum(n: int) -> Fraction:
-    """Auxiliary sum bounding the single-event envelope slack.
+# The auxiliary sums and the sign margin are integers over a fixed
+# denominator: the public functions return them as a Fraction, and
+# bound_report compares the integers directly.
 
-    Sum over k of C(n,k) * sum over m of C(n-k,m) / 2^(k*m), both indices
-    starting at 1.  By the binomial theorem the sum over m is
-    (1 + 2^-k)^(n-k) - 1 = ((2^k + 1)^(n-k) - 2^(k(n-k))) / 2^(k(n-k)), so
-    the terms are accumulated as one integer numerator over 2^top, the
-    largest of those denominators.
-    """
-    top = (n // 2) * ((n + 1) // 2)
+def _sum_exponent(n: int) -> int:
+    """The largest k(n-k) with 0 < k < n: both auxiliary sums are integers over 2 to this power."""
+    return (n // 2) * ((n + 1) // 2)
+
+
+def _scaled_double_sum(n: int) -> int:
+    """double_binomial_sum(n) times 2^_sum_exponent(n)."""
+    top = _sum_exponent(n)
     num = 0
     for k in range(1, n):
         e = k * (n - k)
         num += comb(n, k) * (((1 << k) + 1) ** (n - k) - (1 << e)) << (top - e)
-    return Fraction(num, 1 << top)
+    return num
 
 
-def triple_binomial_sum(n: int) -> Fraction:
-    """Auxiliary sum bounding the joint-event envelope slack (three indices).
-
-    Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
-    j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
-    ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
-    on i, so each k contributes one integer over 2^(k(n-k)):
-    C(n,k) times the sum over j of C(n-k, j) ((2^j + 1)^k - 2^(jk)).  With j
-    outside and k inside, (2^j + 1)^k takes one multiplication per step of
-    k; the binomial theorem sums the 2^(jk) parts in one power per k.
-    """
-    top = (n // 2) * ((n + 1) // 2)
+def _scaled_triple_sum(n: int) -> int:
+    """triple_binomial_sum(n) times 2^_sum_exponent(n)."""
+    top = _sum_exponent(n)
     inner = [0] * n
     for j in range(1, n - 1):
         base = (1 << j) + 1
@@ -201,21 +195,53 @@ def triple_binomial_sum(n: int) -> Fraction:
         # The sum over 1 <= j <= n-k-1 of C(n-k, j) 2^(jk).
         powers = ((1 << k) + 1) ** (n - k) - 1 - (1 << e)
         num += comb(n, k) * (inner[k] - powers) << (top - e)
-    return Fraction(num, 1 << top)
+    return num
+
+
+def _scaled_margin(n: int) -> int:
+    """sign_margin(n) times 25 * 64^(n-1), an integer for n >= 1.
+
+    2^(5-n) + (32/5)(7/8)^(n-1) + (256/25)(49/64)^(n-1), scaled term by term.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return 25 * (1 << (5 * n - 1)) + 160 * 56 ** (n - 1) + 256 * 49 ** (n - 1)
+
+
+def double_binomial_sum(n: int) -> Fraction:
+    """Auxiliary sum bounding the single-event envelope slack.
+
+    Sum over k of C(n,k) * sum over m of C(n-k,m) / 2^(k*m), both indices
+    starting at 1.  By the binomial theorem the sum over m is
+    (1 + 2^-k)^(n-k) - 1 = ((2^k + 1)^(n-k) - 2^(k(n-k))) / 2^(k(n-k)), so
+    the terms are accumulated as one integer numerator over 2^top, the
+    largest of those denominators.
+    """
+    return Fraction(_scaled_double_sum(n), 1 << _sum_exponent(n))
+
+
+def triple_binomial_sum(n: int) -> Fraction:
+    """Auxiliary sum bounding the joint-event envelope slack (three indices).
+
+    Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
+    j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
+    ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
+    on i, so each k contributes one integer over 2^(k(n-k)):
+    C(n,k) times the sum over j of C(n-k, j) ((2^j + 1)^k - 2^(jk)).  With j
+    outside and k inside, (2^j + 1)^k takes one multiplication per step of
+    k; the binomial theorem sums the 2^(jk) parts in one power per k.
+    """
+    return Fraction(_scaled_triple_sum(n), 1 << _sum_exponent(n))
 
 
 def sign_margin(n: int) -> Fraction:
-    """Error budget whose staying under 5 certifies positive covariance."""
-    return (
-        Fraction(1, 2) ** (n - 5)
-        + _C_MARGIN_1 * Fraction(7, 8) ** (n - 1)
-        + _C_MARGIN_2 * Fraction(49, 64) ** (n - 1)
-    )
+    """Error budget whose staying under 5 certifies positive covariance, n >= 1."""
+    return Fraction(_scaled_margin(n), 25 << 6 * (n - 1))
 
 
 @dataclass(frozen=True)
 class BoundRow:
-    """Exact-rational verdicts for the analytic bounds at one n.
+    """Exact verdicts for the analytic bounds at one n.
 
     The field order is the key order of a `bounds --json` row.
     """
@@ -244,46 +270,54 @@ class BoundRow:
 
 
 def bound_report(n_max: int) -> list[BoundRow]:
-    """Check every analytic bound exactly for 2 <= n <= n_max."""
+    """Check every analytic bound exactly for 2 <= n <= n_max.
+
+    Each bound is a sum of powers of 1/2, 7/8, 49/64, 7/4 or 13/8 times a
+    constant over 5 or 25, and each law an integer over a power of two, so
+    every check is one integer comparison with both sides multiplied by
+    their denominators.  With S, J the counts over 2^E and E = C(n,2):
+      single: 2^-(n-2) (1 - 2^-(n-1)) <= S/2^E <= 2^-(n-2) (1 + 3.2 (7/8)^(n-1)),
+      joint:  2^-(2n-3) (3 - 2^-(n-4)) <= J/2^E <= 2^-(2n-3) (3 + 20.8 (7/8)^(n-3)),
+      sums:   sum2 <= 5.6 (7/4)^n, sum2 <= 13.6 (13/8)^n, sum3 <= 4 (7/4)^n,
+    and the margin M(n) = sign_margin(n) 25 64^(n-1) decreases when
+    M(n) < 64 M(n-1).  The scaled limits are S 2^(n-2) / 2^E and
+    J 2^(2n-3) / 2^E, each one correctly rounded int division.
+    """
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
-    half = Fraction(1, 2)
     singles, joints = _laws(n_max)
     rows = []
     prev_margin = None
     for n in range(2, n_max + 1):
-        single = _fraction(singles[n], n)
-        single_lo = half ** (n - 2) * (1 - half ** (n - 1))
-        single_hi = half ** (n - 2) * (1 + _C_SINGLE_UPPER * Fraction(7, 8) ** (n - 1))
+        e = n * (n - 1) // 2
+        single = singles[n]
         if n >= 3:
-            joint = _fraction(joints[n], n)
-            joint_lo = half ** (2 * n - 3) * (3 - 2 * half ** (n - 3))
-            joint_hi = half ** (2 * n - 3) * (3 + _C_JOINT_UPPER * Fraction(7, 8) ** (n - 3))
-            joint_lower_ok = joint_lo <= joint
-            joint_upper_ok = joint <= joint_hi
-            joint_limit = float(joint / half ** (2 * n - 3))
-            margin = sign_margin(n)
-            margin_below = margin < 5
-            margin_dec = margin < prev_margin if prev_margin is not None else None
+            joint = joints[n]
+            joint_lower_ok = ((3 << (n - 3)) - 2) << e <= joint << (3 * n - 6)
+            joint_upper_ok = 5 * joint << (5 * n - 12) <= ((15 << 3 * (n - 3)) + 104 * 7 ** (n - 3)) << e
+            joint_limit = joint / (1 << (e - 2 * n + 3))
+            margin = _scaled_margin(n)
+            margin_below = margin < 125 << 6 * (n - 1)
+            margin_dec = margin < 64 * prev_margin if prev_margin is not None else None
             prev_margin = margin
         else:
             joint_lower_ok = joint_upper_ok = None
             joint_limit = None
             margin_below = margin_dec = None
-        sum2 = double_binomial_sum(n)
-        sum3 = triple_binomial_sum(n)
+        top = _sum_exponent(n)
+        sum2 = _scaled_double_sum(n)
         rows.append(BoundRow(
             n=n,
-            single_lower_ok=single_lo <= single,
-            single_upper_ok=single <= single_hi,
+            single_lower_ok=((1 << (n - 1)) - 1) << e <= single << (2 * n - 3),
+            single_upper_ok=5 * single << (4 * n - 5) <= ((5 << 3 * (n - 1)) + 16 * 7 ** (n - 1)) << e,
             joint_lower_ok=joint_lower_ok,
             joint_upper_ok=joint_upper_ok,
-            sum2_bound_a_ok=sum2 <= _C_SUM2_A * Fraction(7, 4) ** n,
-            sum2_bound_b_ok=sum2 <= _C_SUM2_B * Fraction(13, 8) ** n,
-            sum3_bound_ok=sum3 <= _C_SUM3 * Fraction(7, 4) ** n,
+            sum2_bound_a_ok=5 * sum2 << 2 * n <= 28 * 7 ** n << top,
+            sum2_bound_b_ok=5 * sum2 << 3 * n <= 68 * 13 ** n << top,
+            sum3_bound_ok=_scaled_triple_sum(n) << 2 * n <= 7 ** n << (top + 2),
             margin_below_5=margin_below,
             margin_decreased=margin_dec,
-            single_scaled_limit=float(single / half ** (n - 2)),
+            single_scaled_limit=single / (1 << (e - n + 2)),
             joint_scaled_limit=joint_limit,
         ))
     return rows

@@ -116,9 +116,16 @@ class TripleCorrelation:
         )
 
 
-def fraction_to_decimal(value: Fraction, places: int) -> str:
-    """Render an exact rational to fixed decimal places, rounding half to even."""
-    q = round(abs(value) * 10**places)  # Fraction rounds exactly, half to even
+def ratio_to_decimal(num: int, den: int, places: int) -> str:
+    """Render num / den (den > 0) to fixed decimal places, rounding half to even."""
+    q, r = divmod(abs(num) * 10**places, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
     whole, frac = divmod(q, 10**places)
     text = f"{whole}.{frac:0{places}d}" if places else str(whole)
-    return "-" + text if value < 0 and q else text
+    return "-" + text if num < 0 and q else text
+
+
+def fraction_to_decimal(value: Fraction, places: int) -> str:
+    """Render an exact rational to fixed decimal places, rounding half to even."""
+    return ratio_to_decimal(value.numerator, value.denominator, places)

@@ -101,7 +101,8 @@ def _sample_planes(seed: int, m: int, lo: int, hi: int) -> np.ndarray:
     words = _sample_words(seed, -(-m // 64), 64 * lo, 64 * hi)
     # Octet k of every sample in one contiguous row: edge i is bit i % 8 of
     # row i // 8.  A strided column read per edge cost about twice as much.
-    octets = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
+    # Only the ceil(m / 8) octets that hold an edge are copied.
+    octets = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8)[:, :-(-m // 8)].T)
     planes = np.empty((m, 8 * (hi - lo)), dtype=np.uint8)
     for i, plane in enumerate(planes):
         plane[:] = np.packbits(octets[i >> 3] >> (i & 7) & 1, bitorder="little")

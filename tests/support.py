@@ -10,7 +10,15 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from orientcorr import Graph, graph_from_edges, path_graph
+from orientcorr import (
+    BoundRow,
+    Graph,
+    double_binomial_sum,
+    graph_from_edges,
+    path_graph,
+    table_rows,
+    triple_binomial_sum,
+)
 from orientcorr.cli import main
 from orientcorr.graphs import bfs_layers
 
@@ -206,6 +214,71 @@ def ref_triple_binomial_sum(n: int) -> Fraction:
             for m in range(1, k + 1):
                 total += comb(n, k) * comb(n - k, i) * comb(k, m) << (top - k * i - m * (n - k - i))
     return Fraction(total, 1 << top)
+
+
+# The analytic bounds as the library checked them before it compared
+# integers: every envelope, sum bound and margin in Fraction arithmetic.
+# The laws and the auxiliary sums come from the library, whose own
+# oracles are above.
+
+_C_SINGLE_UPPER = Fraction(16, 5)       # 3.2
+_C_JOINT_UPPER = Fraction(104, 5)       # 20.8
+_C_SUM2_A = Fraction(28, 5)             # 5.6
+_C_SUM2_B = Fraction(68, 5)             # 13.6
+_C_SUM3 = Fraction(4)
+_C_MARGIN_1 = Fraction(32, 5)           # 6.4
+_C_MARGIN_2 = Fraction(256, 25)         # 10.24
+
+
+def ref_sign_margin(n: int) -> Fraction:
+    return (
+        Fraction(1, 2) ** (n - 5)
+        + _C_MARGIN_1 * Fraction(7, 8) ** (n - 1)
+        + _C_MARGIN_2 * Fraction(49, 64) ** (n - 1)
+    )
+
+
+def ref_bound_report(n_max: int) -> list[BoundRow]:
+    half = Fraction(1, 2)
+    rows_by_n = {row.n: row for row in table_rows(n_max)}
+    rows = []
+    prev_margin = None
+    for n in range(2, n_max + 1):
+        single = rows_by_n[n].p_single.as_fraction()
+        single_lo = half ** (n - 2) * (1 - half ** (n - 1))
+        single_hi = half ** (n - 2) * (1 + _C_SINGLE_UPPER * Fraction(7, 8) ** (n - 1))
+        if n >= 3:
+            joint = rows_by_n[n].p_joint.as_fraction()
+            joint_lo = half ** (2 * n - 3) * (3 - 2 * half ** (n - 3))
+            joint_hi = half ** (2 * n - 3) * (3 + _C_JOINT_UPPER * Fraction(7, 8) ** (n - 3))
+            joint_lower_ok = joint_lo <= joint
+            joint_upper_ok = joint <= joint_hi
+            joint_limit = float(joint / half ** (2 * n - 3))
+            margin = ref_sign_margin(n)
+            margin_below = margin < 5
+            margin_dec = margin < prev_margin if prev_margin is not None else None
+            prev_margin = margin
+        else:
+            joint_lower_ok = joint_upper_ok = None
+            joint_limit = None
+            margin_below = margin_dec = None
+        sum2 = double_binomial_sum(n)
+        sum3 = triple_binomial_sum(n)
+        rows.append(BoundRow(
+            n=n,
+            single_lower_ok=single_lo <= single,
+            single_upper_ok=single <= single_hi,
+            joint_lower_ok=joint_lower_ok,
+            joint_upper_ok=joint_upper_ok,
+            sum2_bound_a_ok=sum2 <= _C_SUM2_A * Fraction(7, 4) ** n,
+            sum2_bound_b_ok=sum2 <= _C_SUM2_B * Fraction(13, 8) ** n,
+            sum3_bound_ok=sum3 <= _C_SUM3 * Fraction(7, 4) ** n,
+            margin_below_5=margin_below,
+            margin_decreased=margin_dec,
+            single_scaled_limit=float(single / half ** (n - 2)),
+            joint_scaled_limit=joint_limit,
+        ))
+    return rows
 
 
 def ref_strip_twos(num: int, exp: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,10 +28,10 @@ from orientcorr import (
     path_graph,
     table_row,
 )
-from orientcorr import complete
+from orientcorr import complete, dyadic
 from orientcorr.closed_form import CycleTriple
-from orientcorr.cli import build_parser, main
-from support import diamond, run_cli
+from orientcorr.cli import _table_cells, build_parser, main
+from support import diamond, ref_fraction_to_decimal, run_cli
 from test_complete_graph import GOLDEN_ROWS
 
 K4_G6 = "C~"
@@ -492,6 +494,66 @@ def test_consecutive_runs_are_identical(capsys, argv):
     first = run_cli(capsys, argv)
     second = run_cli(capsys, argv)
     assert first == second
+
+
+# sha256 of the stdout of the large K_n commands, as the Fraction-based
+# code printed it.  The K_n values are computed in integers on every
+# interpreter, so each Python the CI runs must print the same bytes.
+KN_DIGESTS = {
+    ("table", "--max-n", "200"): "0ff44283e86139c5e029f1940fc51b20c443c336b87c6c835abab4f3e50b58b5",
+    ("table", "--max-n", "200", "--json"): "637a266c6e7f522f212501dd3a38f5c27ad9cefda92fbf7d455ded2701567bbd",
+    ("bounds", "--max-n", "120"): "aa320d51e3774a9b7d4ab50a14c713540a7e34372060f0ebaf0aad66e4d3f56b",
+    ("bounds", "--max-n", "120", "--json"): "cb030893c10c5dff43d0ecdce722b69517bbe8bc5e1f6c5f5f3395f0f6586a6d",
+    ("kn", "--n", "300"): "9ec4530f70aa61d99a0ab0e6843bc4fd62d2cddf0503f69a7750d28e4936c1b6",
+    ("kn", "--n", "300", "--json"): "78a5f13fc379cf98b20e09cc164f9b6e91a35c84fb4bd8db5902562214658404",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(KN_DIGESTS), ids=" ".join)
+def test_large_kn_output_is_pinned_by_digest(capsys, argv):
+    code, out, err = run_cli(capsys, list(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == KN_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--max-n", "40"], ["table", "--max-n", "70"]],
+                         ids=" ".join)
+def test_kn_commands_build_no_fraction(capsys, monkeypatch, argv):
+    # Every verdict and decimal of `bounds` and `table` is an integer
+    # comparison or division; a Fraction would reduce by gcd for nothing.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for module in (complete, dyadic):
+        monkeypatch.setattr(module, "Fraction", counting)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert built == []
+
+
+def test_table_cells_match_the_fraction_rendering():
+    # Row n = 300 prints integers of about 13,500 digits, past the
+    # interpreter's default int-to-str limit, which main() lifts too.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for row in complete.table_rows(300):
+            joint = row.p_joint is not None
+            assert _table_cells(row) == (
+                row.n,
+                str(row.scaled_single),
+                ref_fraction_to_decimal(row.p_single.as_fraction(), 4),
+                str(row.scaled_joint) if joint else None,
+                ref_fraction_to_decimal(row.p_joint.as_fraction(), 7) if joint else None,
+                ref_fraction_to_decimal(row.rel_cov, 6) if joint else None,
+            ), row.n
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _triple_argv(*flags: str) -> list[str]:

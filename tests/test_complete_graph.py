@@ -25,9 +25,11 @@ from orientcorr import (
     unreachable_prob,
 )
 from support import (
+    ref_bound_report,
     ref_double_binomial_sum,
     ref_joint_unreachable_prob,
     ref_out_set_counts,
+    ref_sign_margin,
     ref_triple_binomial_sum,
     ref_unreachable_prob,
 )
@@ -248,6 +250,23 @@ def test_bound_report_all_true_to_40():
     rows = bound_report(40)
     assert [r.n for r in rows] == list(range(2, 41))
     assert all(r.all_ok() for r in rows)
+
+
+def test_bound_report_matches_the_fraction_oracle():
+    # Every verdict, the margin_decreased chain and both float columns,
+    # against the checks done in Fraction arithmetic.  A row depends on n
+    # only, not on n_max, so the oracle runs once; every n_max to 60 and a
+    # few larger ones show that (all 148 up to 150 take about 6 s).
+    oracle = ref_bound_report(150)
+    for n_max in [*range(3, 61), 80, 100, 120, 150]:
+        assert bound_report(n_max) == oracle[:n_max - 1], n_max
+
+
+def test_sign_margin_matches_the_fraction_oracle():
+    for n in range(1, 151):
+        assert sign_margin(n) == ref_sign_margin(n), n
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sign_margin(0)
 
 
 def test_bound_row_checks_are_the_verdicts_in_column_order():

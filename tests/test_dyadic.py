@@ -1,5 +1,6 @@
 """Exact dyadic arithmetic and rendering."""
 
+import random
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from orientcorr import (
     fraction_to_decimal,
     parse_dyadic,
 )
-from orientcorr.dyadic import _strip_twos
+from orientcorr.dyadic import _strip_twos, ratio_to_decimal
 from support import ref_fraction_to_decimal, ref_strip_twos
 
 
@@ -126,6 +127,21 @@ def test_decimal_rendering_half_even_ties():
 @given(st.fractions(), st.integers(0, 12))
 def test_decimal_rendering_matches_the_divmod_reference(value, places):
     assert fraction_to_decimal(value, places) == ref_fraction_to_decimal(value, places)
+
+
+def test_ratio_rendering_matches_the_divmod_reference():
+    # Unreduced pairs of both signs, zeros, power-of-two denominators (whose
+    # ties need many places) and every k/2000, at 0-8 places.
+    rng = random.Random(20261020)
+    cases = [(rng.randrange(-10**30, 10**30) >> rng.randrange(110),
+              rng.choice((rng.randrange(1, 10 ** rng.randrange(1, 25)), 1 << rng.randrange(40))),
+              rng.randrange(9))
+             for _ in range(20_000)]
+    cases += [(0, den, places) for den in (1, 3, 1 << 70) for places in range(9)]
+    cases += [(k, 2000, places) for k in range(-2000, 2001) for places in range(9)]
+    for num, den, places in cases:
+        want = ref_fraction_to_decimal(Fraction(num, den), places)
+        assert ratio_to_decimal(num, den, places) == want, (num, den, places)
 
 
 @pytest.mark.parametrize("places", range(5))
