@@ -8,7 +8,7 @@ graphs, cycles and forests, Monte Carlo estimates for larger graphs, and a
 classifier that sorts graphs by which covariance signs their triples attain.
 """
 
-from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, fraction_to_decimal, parse_dyadic
+from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, parse_dyadic
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -36,13 +36,10 @@ from .complete import (
     KnRow,
     bound_report,
     covariance_sign,
-    double_binomial_sum,
     joint_unreachable_prob,
     relative_covariance,
-    sign_margin,
     table_row,
     table_rows,
-    triple_binomial_sum,
     unreachable_prob,
 )
 from .closed_form import (
@@ -65,11 +62,10 @@ __all__ = [
     "TripleCorrelation", "bound_report", "classify", "classify_stream",
     "complete_graph", "count_events", "covariance_sign", "cycle_correlation",
     "cycle_cov_bound", "cycle_graph", "cycle_triple_from_labels",
-    "delta_method_se", "double_binomial_sum", "emit_graph6",
-    "exact_correlation", "forest_correlation", "fraction_to_decimal",
-    "gnp_generate", "graph_from_edges", "has_minor", "is_connected",
-    "is_outerplanar", "joint_unreachable_prob", "mc_estimate", "mix64",
-    "parse_dyadic", "parse_edge_list", "parse_graph6", "path_graph",
-    "relative_covariance", "sign_margin", "sweep_source", "sweep_sources",
-    "table_row", "table_rows", "triple_binomial_sum", "unreachable_prob",
+    "delta_method_se", "emit_graph6", "exact_correlation",
+    "forest_correlation", "gnp_generate", "graph_from_edges", "has_minor",
+    "is_connected", "is_outerplanar", "joint_unreachable_prob", "mc_estimate",
+    "mix64", "parse_dyadic", "parse_edge_list", "parse_graph6", "path_graph",
+    "relative_covariance", "sweep_source", "sweep_sources", "table_row",
+    "table_rows", "unreachable_prob",
 ]

@@ -283,7 +283,7 @@ def cmd_bounds(args) -> int:
         return _usage_error(f"bounds: need --max-n >= 3, got {args.max_n}")
     rows = complete.bound_report(args.max_n)
     all_ok = all(r.all_ok() for r in rows)
-    record = _record("bounds", max_n=args.max_n, all_ok=all_ok, rows=[asdict(r) for r in rows])
+    record = _record("bounds", max_n=args.max_n, all_ok=all_ok, rows=[dict(vars(r)) for r in rows])
     def mark(flag):
         return "-" if flag is None else ("ok" if flag else "FAIL")
     lines = ["  n  s_lo  s_hi  j_lo  j_hi  sum2a sum2b  sum3  mdec  m<5  2^(n-2)*p1    2^(2n-3)*p2"]

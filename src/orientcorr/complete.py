@@ -33,8 +33,6 @@ from .dyadic import DyadicProb
 def _single_counts(n_max: int, k: int) -> list[int]:
     """U_n for the k-set, every n <= n_max; 0 below the smallest valid n."""
     e = [m * (m - 1) // 2 for m in range(n_max + 1)]
-    if k == 0:
-        return [0] + [1 << x for x in e[1:]]
     u = [0] * (n_max + 1)
     for n in range(k + 1, n_max + 1):
         # Term i of the first sum and term j = i + 1 of the second share C(w, i-k).
@@ -49,8 +47,6 @@ def _single_counts(n_max: int, k: int) -> list[int]:
 
 def _joint_counts(n_max: int, k: int, single: list[int]) -> list[int]:
     """J_n for the k-set, every n <= n_max, from single = U_m at k = 1 for m <= n_max."""
-    if k == 0:
-        return single
     e = [m * (m - 1) // 2 for m in range(n_max + 1)]
     joint = [0] * (n_max + 1)
     for n in range(k + 2, n_max + 1):
@@ -70,10 +66,6 @@ def _laws(n_max: int) -> tuple[list[int], list[int]]:
     return single, _joint_counts(n_max, 1, single)
 
 
-def _fraction(count: int, n: int) -> Fraction:
-    return DyadicProb.of(count, comb(n, 2)).as_fraction()
-
-
 @lru_cache(maxsize=None)
 def unreachable_prob(n: int, k: int) -> Fraction:
     """P(no directed path from any of a k-set to the target) on K_n."""
@@ -81,7 +73,7 @@ def unreachable_prob(n: int, k: int) -> Fraction:
         raise ValueError(f"need k >= 0, got k={k}")
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
-    return _fraction(_single_counts(n, k)[n], n)
+    return Fraction(_single_counts(n, k)[n], 1 << comb(n, 2))
 
 
 @lru_cache(maxsize=None)
@@ -91,21 +83,25 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
         raise ValueError(f"need k >= 0, got k={k}")
     if n < k + 2:
         raise ValueError(f"need n >= k+2, got n={n}, k={k}")
-    return _fraction(_joint_counts(n, k, _single_counts(n, 1))[n], n)
+    return Fraction(_joint_counts(n, k, _single_counts(n, 1))[n], 1 << comb(n, 2))
+
+
+def _rel_cov_ratio(n: int) -> tuple[int, int]:
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    return table_row(n).rel_cov_ratio()
 
 
 def relative_covariance(n: int) -> Fraction:
     """(p_joint - p_single^2) / p_joint for K_n, n >= 3."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    return table_row(n).rel_cov
+    return Fraction(*_rel_cov_ratio(n))
 
 
 def covariance_sign(n: int) -> int:
     """Sign of the covariance of the two no-path events on K_n, n >= 3."""
-    # The joint probability is positive, so it cannot flip the sign.
-    rel = relative_covariance(n)
-    return (rel > 0) - (rel < 0)
+    # The denominator J 2^E is positive, so the unreduced numerator carries the sign.
+    num, _ = _rel_cov_ratio(n)
+    return (num > 0) - (num < 0)
 
 
 @dataclass(frozen=True)
@@ -123,18 +119,12 @@ class KnRow:
     scaled_joint: int | None
 
     def rel_cov_ratio(self) -> tuple[int, int] | None:
-        """rel_cov as an unreduced (numerator, denominator) pair; None for n = 2."""
+        """The relative covariance as an unreduced (numerator, denominator) pair; None for n = 2."""
         if self.scaled_joint is None:
             return None
         # With S, J the counts over 2^E: rel_cov = (J 2^E - S^2) / (J 2^E).
         den = self.scaled_joint << comb(self.n, 2)
         return den - self.scaled_single * self.scaled_single, den
-
-    @property
-    def rel_cov(self) -> Fraction | None:
-        """The relative covariance, reduced when read; None for n = 2."""
-        ratio = self.rel_cov_ratio()
-        return None if ratio is None else Fraction(*ratio)
 
 
 def _row(n: int, single: int, joint: int) -> KnRow:
@@ -160,9 +150,9 @@ def table_rows(n_max: int) -> list[KnRow]:
     return [_row(n, single[n], joint[n]) for n in range(2, n_max + 1)]
 
 
-# The auxiliary sums and the sign margin are integers over a fixed
-# denominator: the public functions return them as a Fraction, and
-# bound_report compares the integers directly.
+# The auxiliary sums and the sign margin live only as integers over a fixed
+# power of two (or 25 times one), the form in which bound_report compares
+# them with its bounds; no Fraction of them is ever built.
 
 def _sum_exponent(n: int) -> int:
     """The largest k(n-k) with 0 < k < n: both auxiliary sums are integers over 2 to this power."""
@@ -170,7 +160,14 @@ def _sum_exponent(n: int) -> int:
 
 
 def _scaled_double_sum(n: int) -> int:
-    """double_binomial_sum(n) times 2^_sum_exponent(n)."""
+    """The auxiliary sum bounding the single-event envelope slack, times 2^_sum_exponent(n).
+
+    Sum over k of C(n,k) * sum over m of C(n-k,m) / 2^(k*m), both indices
+    starting at 1.  By the binomial theorem the sum over m is
+    (1 + 2^-k)^(n-k) - 1 = ((2^k + 1)^(n-k) - 2^(k(n-k))) / 2^(k(n-k)), so
+    the terms are accumulated as one integer numerator over 2^top, the
+    largest of those denominators.
+    """
     top = _sum_exponent(n)
     num = 0
     for k in range(1, n):
@@ -180,7 +177,16 @@ def _scaled_double_sum(n: int) -> int:
 
 
 def _scaled_triple_sum(n: int) -> int:
-    """triple_binomial_sum(n) times 2^_sum_exponent(n)."""
+    """The auxiliary sum bounding the joint-event envelope slack, times 2^_sum_exponent(n).
+
+    Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
+    j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
+    ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
+    on i, so each k contributes one integer over 2^(k(n-k)):
+    C(n,k) times the sum over j of C(n-k, j) ((2^j + 1)^k - 2^(jk)).  With j
+    outside and k inside, (2^j + 1)^k takes one multiplication per step of
+    k; the binomial theorem sums the 2^(jk) parts in one power per k.
+    """
     top = _sum_exponent(n)
     inner = [0] * n
     for j in range(1, n - 1):
@@ -199,44 +205,15 @@ def _scaled_triple_sum(n: int) -> int:
 
 
 def _scaled_margin(n: int) -> int:
-    """sign_margin(n) times 25 * 64^(n-1), an integer for n >= 1.
+    """The sign margin times 25 * 64^(n-1), an integer for n >= 1.
 
-    2^(5-n) + (32/5)(7/8)^(n-1) + (256/25)(49/64)^(n-1), scaled term by term.
+    The margin is the error budget whose staying under 5 certifies positive
+    covariance: 2^(5-n) + (32/5)(7/8)^(n-1) + (256/25)(49/64)^(n-1),
+    scaled term by term.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return 25 * (1 << (5 * n - 1)) + 160 * 56 ** (n - 1) + 256 * 49 ** (n - 1)
-
-
-def double_binomial_sum(n: int) -> Fraction:
-    """Auxiliary sum bounding the single-event envelope slack.
-
-    Sum over k of C(n,k) * sum over m of C(n-k,m) / 2^(k*m), both indices
-    starting at 1.  By the binomial theorem the sum over m is
-    (1 + 2^-k)^(n-k) - 1 = ((2^k + 1)^(n-k) - 2^(k(n-k))) / 2^(k(n-k)), so
-    the terms are accumulated as one integer numerator over 2^top, the
-    largest of those denominators.
-    """
-    return Fraction(_scaled_double_sum(n), 1 << _sum_exponent(n))
-
-
-def triple_binomial_sum(n: int) -> Fraction:
-    """Auxiliary sum bounding the joint-event envelope slack (three indices).
-
-    Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
-    j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
-    ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
-    on i, so each k contributes one integer over 2^(k(n-k)):
-    C(n,k) times the sum over j of C(n-k, j) ((2^j + 1)^k - 2^(jk)).  With j
-    outside and k inside, (2^j + 1)^k takes one multiplication per step of
-    k; the binomial theorem sums the 2^(jk) parts in one power per k.
-    """
-    return Fraction(_scaled_triple_sum(n), 1 << _sum_exponent(n))
-
-
-def sign_margin(n: int) -> Fraction:
-    """Error budget whose staying under 5 certifies positive covariance, n >= 1."""
-    return Fraction(_scaled_margin(n), 25 << 6 * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -279,9 +256,10 @@ def bound_report(n_max: int) -> list[BoundRow]:
       single: 2^-(n-2) (1 - 2^-(n-1)) <= S/2^E <= 2^-(n-2) (1 + 3.2 (7/8)^(n-1)),
       joint:  2^-(2n-3) (3 - 2^-(n-4)) <= J/2^E <= 2^-(2n-3) (3 + 20.8 (7/8)^(n-3)),
       sums:   sum2 <= 5.6 (7/4)^n, sum2 <= 13.6 (13/8)^n, sum3 <= 4 (7/4)^n,
-    and the margin M(n) = sign_margin(n) 25 64^(n-1) decreases when
-    M(n) < 64 M(n-1).  The scaled limits are S 2^(n-2) / 2^E and
-    J 2^(2n-3) / 2^E, each one correctly rounded int division.
+    and the margin M(n) = _scaled_margin(n), the sign margin times
+    25 64^(n-1), decreases when M(n) < 64 M(n-1).  The scaled limits are
+    S 2^(n-2) / 2^E and J 2^(2n-3) / 2^E, each one correctly rounded int
+    division.
     """
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")

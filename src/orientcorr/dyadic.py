@@ -124,8 +124,3 @@ def ratio_to_decimal(num: int, den: int, places: int) -> str:
     whole, frac = divmod(q, 10**places)
     text = f"{whole}.{frac:0{places}d}" if places else str(whole)
     return "-" + text if num < 0 and q else text
-
-
-def fraction_to_decimal(value: Fraction, places: int) -> str:
-    """Render an exact rational to fixed decimal places, rounding half to even."""
-    return ratio_to_decimal(value.numerator, value.denominator, places)

@@ -278,8 +278,11 @@ def run_batches(
 
     starts = range(0, words, step)
     threads = min(resolve_threads(threads), len(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+    # os.cpu_count() reads sysfs on every call (about 5 us), which a stream
+    # of small graphs would pay once per graph: only a walk of several
+    # batches asks it.
+    if threads > 1 and (threads := min(threads, os.cpu_count() or 1)) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return sum(pool.map(run, starts))
     return sum(map(run, starts))
 

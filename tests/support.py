@@ -10,15 +10,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from orientcorr import (
-    BoundRow,
-    Graph,
-    double_binomial_sum,
-    graph_from_edges,
-    path_graph,
-    table_rows,
-    triple_binomial_sum,
-)
+from orientcorr import BoundRow, Graph, graph_from_edges, path_graph, table_rows
 from orientcorr.cli import main
 from orientcorr.graphs import bfs_layers
 
@@ -206,20 +198,26 @@ def ref_double_binomial_sum(n: int) -> Fraction:
     return Fraction(total, 1 << top)
 
 
+@lru_cache(maxsize=None)
+def _ref_m_sum(k: int, j: int) -> int:
+    """The sum over 1 <= m <= k of C(k,m) / 2^(m*j), times 2^(k*j), term by term."""
+    return sum(comb(k, m) << (k - m) * j for m in range(1, k + 1))
+
+
 def ref_triple_binomial_sum(n: int) -> Fraction:
     total = 0
     top = n * n
     for k in range(1, n):
         for i in range(1, n - k):
-            for m in range(1, k + 1):
-                total += comb(n, k) * comb(n - k, i) * comb(k, m) << (top - k * i - m * (n - k - i))
+            # The term's denominator 2^(k*i) times the m-sum's 2^(k*j) is 2^(k(n-k)).
+            total += comb(n, k) * comb(n - k, i) * _ref_m_sum(k, n - k - i) << (top - k * (n - k))
     return Fraction(total, 1 << top)
 
 
 # The analytic bounds as the library checked them before it compared
 # integers: every envelope, sum bound and margin in Fraction arithmetic.
-# The laws and the auxiliary sums come from the library, whose own
-# oracles are above.
+# The laws come from the library, whose own oracles are above; the
+# auxiliary sums come from the reference loops above.
 
 _C_SINGLE_UPPER = Fraction(16, 5)       # 3.2
 _C_JOINT_UPPER = Fraction(104, 5)       # 20.8
@@ -262,8 +260,8 @@ def ref_bound_report(n_max: int) -> list[BoundRow]:
             joint_lower_ok = joint_upper_ok = None
             joint_limit = None
             margin_below = margin_dec = None
-        sum2 = double_binomial_sum(n)
-        sum3 = triple_binomial_sum(n)
+        sum2 = ref_double_binomial_sum(n)
+        sum3 = ref_triple_binomial_sum(n)
         rows.append(BoundRow(
             n=n,
             single_lower_ok=single_lo <= single,

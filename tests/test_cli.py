@@ -549,7 +549,7 @@ def test_table_cells_match_the_fraction_rendering():
                 ref_fraction_to_decimal(row.p_single.as_fraction(), 4),
                 str(row.scaled_joint) if joint else None,
                 ref_fraction_to_decimal(row.p_joint.as_fraction(), 7) if joint else None,
-                ref_fraction_to_decimal(row.rel_cov, 6) if joint else None,
+                ref_fraction_to_decimal(Fraction(*row.rel_cov_ratio()), 6) if joint else None,
             ), row.n
     finally:
         if limit is not None:

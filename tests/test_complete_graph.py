@@ -14,16 +14,14 @@ from orientcorr import (
     complete_graph,
     count_events,
     covariance_sign,
-    double_binomial_sum,
-    fraction_to_decimal,
     joint_unreachable_prob,
     relative_covariance,
-    sign_margin,
     table_row,
     table_rows,
-    triple_binomial_sum,
     unreachable_prob,
 )
+from orientcorr.complete import _scaled_double_sum, _scaled_margin, _scaled_triple_sum, _sum_exponent
+from orientcorr.dyadic import ratio_to_decimal
 from support import (
     ref_bound_report,
     ref_double_binomial_sum,
@@ -94,9 +92,10 @@ def test_table_rows_match_goldens(n):
     assert row.scaled_single == scaled_single
     assert row.scaled_joint == scaled_joint
     if rel is None:
-        assert row.rel_cov is None
+        assert row.rel_cov_ratio() is None
     else:
-        assert fraction_to_decimal(row.rel_cov, 6) == rel
+        value = relative_covariance(n)
+        assert ratio_to_decimal(value.numerator, value.denominator, 6) == rel
 
 
 def test_recursion_equals_enumeration():
@@ -119,6 +118,20 @@ def test_recursions_match_fraction_reference():
             assert unreachable_prob(n, k) == ref_unreachable_prob(n, k), (n, k)
         for k in range(n - 1):
             assert joint_unreachable_prob(n, k) == ref_joint_unreachable_prob(n, k), (n, k)
+
+
+def test_small_k_sets_match_fraction_reference_to_60():
+    # k = 0 runs the same recurrences as every other k: no marked vertex
+    # reaches the target, and with none the joint law is the single law at
+    # k = 1 (the target must reach no third vertex).
+    for n in range(1, 61):
+        for k in range(min(6, n)):
+            assert unreachable_prob(n, k) == ref_unreachable_prob(n, k), (n, k)
+        for k in range(min(6, n - 1)):
+            assert joint_unreachable_prob(n, k) == ref_joint_unreachable_prob(n, k), (n, k)
+        assert unreachable_prob(n, 0) == 1
+        if n >= 2:
+            assert joint_unreachable_prob(n, 0) == unreachable_prob(n, 1)
 
 
 def test_table_rows_match_out_set_recursion():
@@ -162,7 +175,7 @@ def test_cold_row_keeps_few_states_and_a_flat_stack():
         row = table_row(150)
     finally:
         sys.setrecursionlimit(limit)
-    assert row.rel_cov is not None
+    assert row.rel_cov_ratio() is not None
     states = unreachable_prob.cache_info().currsize + joint_unreachable_prob.cache_info().currsize
     assert states == 0
 
@@ -198,10 +211,19 @@ def test_complete_holds_no_memo_but_the_two_cleared_caches():
                 ast.unparse(node)
 
 
+def _double_sum(n):
+    return Fraction(_scaled_double_sum(n), 1 << _sum_exponent(n))
+
+
+def _triple_sum(n):
+    return Fraction(_scaled_triple_sum(n), 1 << _sum_exponent(n))
+
+
 def test_auxiliary_sums_match_triple_loop_reference():
     for n in range(0, 61):
-        assert double_binomial_sum(n) == ref_double_binomial_sum(n), n
-        assert triple_binomial_sum(n) == ref_triple_binomial_sum(n), n
+        scale = 1 << _sum_exponent(n)
+        assert _scaled_double_sum(n) == ref_double_binomial_sum(n) * scale, n
+        assert _scaled_triple_sum(n) == ref_triple_binomial_sum(n) * scale, n
 
 
 def test_sign_sequence():
@@ -221,12 +243,12 @@ def test_joint_below_single():
 
 
 def test_auxiliary_sums():
-    assert double_binomial_sum(0) == 0
-    assert double_binomial_sum(1) == 0
-    assert double_binomial_sum(2) == 1
-    assert triple_binomial_sum(2) == 0
+    assert _double_sum(0) == 0
+    assert _double_sum(1) == 0
+    assert _double_sum(2) == 1
+    assert _triple_sum(2) == 0
     # Hand-expanded: only k=1, i=1 contributes C(3,1)*C(2,1)/2 * C(1,1)/2.
-    assert triple_binomial_sum(3) == Fraction(3, 2)
+    assert _triple_sum(3) == Fraction(3, 2)
 
 
 def test_auxiliary_sums_against_direct_fraction_sums():
@@ -234,11 +256,11 @@ def test_auxiliary_sums_against_direct_fraction_sums():
         direct2 = sum(
             Fraction(1, 2) ** (k * m) * _comb(n, k) * _comb(n - k, m)
             for k in range(1, n) for m in range(1, n - k + 1))
-        assert double_binomial_sum(n) == direct2
+        assert _double_sum(n) == direct2
         direct3 = sum(
             Fraction(1, 2) ** (k * i + m * (n - k - i)) * _comb(n, k) * _comb(n - k, i) * _comb(k, m)
             for k in range(1, n) for i in range(1, n - k) for m in range(1, k + 1))
-        assert triple_binomial_sum(n) == direct3
+        assert _triple_sum(n) == direct3
 
 
 def _comb(n, k):
@@ -264,9 +286,9 @@ def test_bound_report_matches_the_fraction_oracle():
 
 def test_sign_margin_matches_the_fraction_oracle():
     for n in range(1, 151):
-        assert sign_margin(n) == ref_sign_margin(n), n
+        assert _scaled_margin(n) == ref_sign_margin(n) * 25 * 64 ** (n - 1), n
     with pytest.raises(ValueError, match="need n >= 1"):
-        sign_margin(0)
+        _scaled_margin(0)
 
 
 def test_bound_row_checks_are_the_verdicts_in_column_order():
@@ -281,8 +303,9 @@ def test_bound_row_checks_are_the_verdicts_in_column_order():
 
 
 def test_margin_first_below_five_at_eight():
-    assert sign_margin(7) > 5
-    assert sign_margin(8) < 5
+    # The margin is under 5 when its scaled form is under 5 * 25 * 64^(n-1).
+    assert _scaled_margin(7) > 125 * 64 ** 6
+    assert _scaled_margin(8) < 125 * 64 ** 7
     by_n = {r.n: r for r in bound_report(10)}
     assert by_n[7].margin_below_5 is False
     assert by_n[8].margin_below_5 is True
@@ -299,7 +322,7 @@ def test_relative_covariance_is_the_ratio_of_the_exact_laws():
     # views are checked against the rows in test_views_match_the_rows.
     for row in table_rows(120)[1:]:
         single, joint = row.p_single.as_fraction(), row.p_joint.as_fraction()
-        assert relative_covariance(row.n) == (joint - single * single) / joint == row.rel_cov
+        assert relative_covariance(row.n) == (joint - single * single) / joint
 
 
 def test_views_match_the_rows():
@@ -310,8 +333,18 @@ def test_views_match_the_rows():
         assert unreachable_prob(n, 1) == row.p_single.as_fraction()
         if n >= 3:
             assert joint_unreachable_prob(n, 1) == row.p_joint.as_fraction()
-            assert covariance_sign(n) == (row.rel_cov > 0) - (row.rel_cov < 0)
+            rel = relative_covariance(n)
+            assert covariance_sign(n) == (rel > 0) - (rel < 0)
     assert joint_unreachable_prob(60, 0) == unreachable_prob(60, 1)
+
+
+def test_covariance_sign_is_the_sign_of_the_relative_covariance():
+    for n in range(3, 151):
+        rel = relative_covariance(n)
+        assert covariance_sign(n) == (rel > 0) - (rel < 0), n
+    for n in (2, 1, 0, -1):
+        with pytest.raises(ValueError, match=f"need n >= 3, got {n}"):
+            covariance_sign(n)
 
 
 def test_relative_covariance_trend_toward_one_third():

@@ -11,7 +11,6 @@ from orientcorr import (
     DyadicProb,
     SignedDyadic,
     TripleCorrelation,
-    fraction_to_decimal,
     parse_dyadic,
 )
 from orientcorr.dyadic import _strip_twos, ratio_to_decimal
@@ -114,19 +113,20 @@ def test_decimal_rendering_matches_decimal_module(num, den, places):
     quantum = Decimal(1).scaleb(-places)
     want = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
         quantum, rounding=ROUND_HALF_EVEN)
-    assert Decimal(fraction_to_decimal(value, places)) == want
+    assert Decimal(ratio_to_decimal(value.numerator, value.denominator, places)) == want
 
 
 def test_decimal_rendering_half_even_ties():
-    assert fraction_to_decimal(Fraction(1, 8), 2) == "0.12"
-    assert fraction_to_decimal(Fraction(3, 8), 2) == "0.38"
-    assert fraction_to_decimal(Fraction(-1, 8), 2) == "-0.12"
-    assert fraction_to_decimal(Fraction(-1, 80000000), 6) == "0.000000"
+    assert ratio_to_decimal(1, 8, 2) == "0.12"
+    assert ratio_to_decimal(3, 8, 2) == "0.38"
+    assert ratio_to_decimal(-1, 8, 2) == "-0.12"
+    assert ratio_to_decimal(-1, 80000000, 6) == "0.000000"
 
 
 @given(st.fractions(), st.integers(0, 12))
 def test_decimal_rendering_matches_the_divmod_reference(value, places):
-    assert fraction_to_decimal(value, places) == ref_fraction_to_decimal(value, places)
+    assert ratio_to_decimal(value.numerator, value.denominator, places) == \
+        ref_fraction_to_decimal(value, places)
 
 
 def test_ratio_rendering_matches_the_divmod_reference():
@@ -150,4 +150,5 @@ def test_decimal_rendering_of_every_k_over_2000(places):
     # negative values that round to zero, which print without a minus.
     for k in range(-2000, 2000):
         value = Fraction(k, 2000)
-        assert fraction_to_decimal(value, places) == ref_fraction_to_decimal(value, places)
+        assert ratio_to_decimal(value.numerator, value.denominator, places) == \
+            ref_fraction_to_decimal(value, places)

@@ -420,11 +420,14 @@ def test_sweep_sources_threads_are_used_and_agree(monkeypatch):
 def test_thread_pool_is_capped_at_the_cores(monkeypatch):
     # C8 has 4 words of 64 orientations; at one word a batch that is 4
     # batches, and on 2 cores a pool of 2 workers, however many threads
-    # are asked for.
+    # are asked for.  On one core no pool starts at all.
     pools = _record_pools(monkeypatch, cores=2)
     monkeypatch.setattr(enumeration, "_batch_words", lambda n, m: 1)
     g, t = cycle_graph(8), Triple(0, 2, 5)
     assert count_events(g, t, threads=10**6) == count_events(g, t, threads=1)
+    assert pools == [2]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    assert count_events(g, t, threads=4) == count_events(g, t, threads=1)
     assert pools == [2]
 
 

@@ -9,7 +9,8 @@ install step reads by installing the package, and which one CI job reads
 back to install numpy at exactly that version.  The names the benchmark's
 tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
 would notice.  Every module-level import of a package or test module is
-used in that module (the package's __init__ imports to re-export).
+used in that module (the package's __init__ imports to re-export), and
+the package's __all__ lists each name that __init__ imports, once.
 Importing the CLI builds no argument parser: that waits for the first
 main() call, so the import stays cheap.  Nor does it load numpy: only the
 batch kernel behind `exact`, `mc` and `classify` does, on its first call,
@@ -94,6 +95,16 @@ def test_module_level_imports_are_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_all_lists_each_public_import_once():
+    import orientcorr
+    tree = ast.parse((ROOT / "src" / "orientcorr" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if not (alias.asname or alias.name).startswith("_")]
+    assert [name for name in orientcorr.__all__ if not hasattr(orientcorr, name)] == []
+    assert len(set(orientcorr.__all__)) == len(orientcorr.__all__)
+    assert sorted(orientcorr.__all__) == sorted(imported)
 
 
 def test_importing_the_cli_builds_no_parser():
