@@ -16,6 +16,7 @@ independent check of that test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .enumeration import DEFAULT_CAP, OverCapError, check_cap, resolve_threads, sweep_sources
@@ -70,22 +71,15 @@ def _census(sweep: list[list[list[int]]], m: int) -> dict:
     total = 1 << m
     # One walk gives every middle vertex.  The signs are taken in Python
     # integers: joint * 2^m reaches 2^(2m), past int64 above m = 31.
-    for s, joint in enumerate(sweep):
-        outof = joint[s]
-        for a in range(len(sweep)):
-            if a == s:
-                continue
-            into = joint[a][s]
-            for b in range(len(sweep)):
-                if b == s or b == a:
-                    continue
-                diff = joint[a][b] * total - into * outof[b]
-                if diff < 0:
-                    neg += 1
-                elif diff > 0:
-                    pos += 1
-                else:
-                    zero += 1
+    for a, s, b in permutations(range(len(sweep)), 3):
+        joint = sweep[s]
+        diff = joint[a][b] * total - joint[a][s] * joint[s][b]
+        if diff < 0:
+            neg += 1
+        elif diff > 0:
+            pos += 1
+        else:
+            zero += 1
     return {"neg_triples": neg, "zero_triples": zero, "pos_triples": pos,
             "class_i": pos == 0, "class_ii": (neg > 0 and pos > 0) or zero > 0, "class_iii": neg == 0}
 
@@ -107,8 +101,7 @@ def classify_stream(
     """
     check_cap(cap)
     resolve_threads(threads)
-    graphs = errors = skipped = 0
-    class_counts = {field: 0 for _, field in CLASSES}
+    summary = dict.fromkeys(("graphs", "errors", "skipped", *(field for _, field in CLASSES)), 0)
     for index, raw in enumerate(lines):
         line = raw.rstrip("\r\n")
         if not line:
@@ -116,7 +109,7 @@ def classify_stream(
         try:
             g = parse_graph6(line)
         except GraphFormatError as exc:
-            errors += 1
+            summary["errors"] += 1
             yield {"type": "error", "index": index, "graph6": line, "error": str(exc)}
             continue
         reason = None
@@ -131,17 +124,17 @@ def classify_stream(
                 reason = str(exc)
         common = {"index": index, "graph6": line, "n": g.n, "m": g.m}
         if reason is not None:
-            skipped += 1
+            summary["skipped"] += 1
             yield {"type": "skipped", **common, "reason": reason}
             continue
-        graphs += 1
+        summary["graphs"] += 1
         for _, field in CLASSES:
-            class_counts[field] += census[field]
+            summary[field] += census[field]
         record = {"type": "graph", **common, **census}
         if outerplanar:
             record["outerplanar"] = is_outerplanar(g)
         yield record
-    yield {"type": "summary", "graphs": graphs, "errors": errors, "skipped": skipped, **class_counts}
+    yield {"type": "summary", **summary}
 
 
 # ---------------------------------------------------------------------------

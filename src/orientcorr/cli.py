@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 
 from .dyadic import DyadicProb, SignedDyadic, TripleCorrelation, ratio_to_decimal
 from .graphs import Graph, GraphFormatError, Triple, parse_edge_list, parse_graph6
@@ -80,7 +79,7 @@ def _load_graph_triple(args) -> tuple[Graph, Triple]:
 
 
 def _triple_fields(g: Graph, t: Triple) -> dict:
-    return {"n": g.n, "m": g.m, **asdict(t)}
+    return {"n": g.n, "m": g.m, **vars(t)}
 
 
 def _triple_header(g: Graph, t: Triple) -> str:
@@ -191,7 +190,7 @@ def cmd_cycle(args) -> int:
     except ValueError as exc:
         return _usage_error(f"cycle: {exc}")
     cor = closed_form.cycle_correlation(triple)
-    record = _record("cycle", **asdict(triple), **_correlation_json(cor))
+    record = _record("cycle", **vars(triple), **_correlation_json(cor))
     human = (
         f"cycle n = {triple.n}, arcs c = {triple.c}, d = {triple.d}\n"
         + _correlation_lines(cor)
@@ -243,7 +242,7 @@ def cmd_classify(args) -> int:
     g = parse_graph6(args.graph6)
     flags = classify(g, cap=args.cap, threads=args.threads,
                      allow_disconnected=args.allow_disconnected)
-    record = _record("classify", graph6=args.graph6, n=g.n, m=g.m, **asdict(flags))
+    record = _record("classify", graph6=args.graph6, n=g.n, m=g.m, **vars(flags))
     lines = [
         f"n = {g.n}, m = {g.m}",
         f"triples: neg={flags.neg_triples} zero={flags.zero_triples} pos={flags.pos_triples}",
@@ -263,7 +262,7 @@ def cmd_mc(args) -> int:
     if args.samples < 1:
         return _usage_error(f"mc: need --samples >= 1, got {args.samples}")
     est = mc_estimate(g, t, args.samples, args.seed, threads=args.threads)
-    record = _record("mc", **_triple_fields(g, t), **asdict(est))
+    record = _record("mc", **_triple_fields(g, t), **vars(est))
     human = (
         f"{_triple_header(g, t)}\n"
         f"samples = {est.samples}, seed = {est.seed}\n"

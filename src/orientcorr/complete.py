@@ -93,12 +93,14 @@ def _rel_cov_ratio(n: int) -> tuple[int, int]:
 
 
 def relative_covariance(n: int) -> Fraction:
-    """(p_joint - p_single^2) / p_joint for K_n, n >= 3."""
+    """(p_joint - p_single^2) / p_joint for K_n, n >= 3.
+    Each call runs the K_n pass from 2 to n: to loop over n, read table_rows once."""
     return Fraction(*_rel_cov_ratio(n))
 
 
 def covariance_sign(n: int) -> int:
-    """Sign of the covariance of the two no-path events on K_n, n >= 3."""
+    """Sign of the covariance of the two no-path events on K_n, n >= 3.
+    Each call runs the K_n pass from 2 to n: to loop over n, read table_rows once."""
     # The denominator J 2^E is positive, so the unreduced numerator carries the sign.
     num, _ = _rel_cov_ratio(n)
     return (num > 0) - (num < 0)
@@ -136,6 +138,8 @@ def _row(n: int, single: int, joint: int) -> KnRow:
 
 
 def table_row(n: int) -> KnRow:
+    """The row for K_n, n >= 2.
+    Each call runs the K_n pass from 2 to n: to loop over n, read table_rows once."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     single, joint = _laws(n)

@@ -20,6 +20,7 @@ from orientcorr import (
     has_minor,
     is_connected,
     is_outerplanar,
+    parse_graph6,
     path_graph,
 )
 from support import diamond, random_graph, star
@@ -311,6 +312,40 @@ def test_outerplanar_matches_forbidden_minors(g):
     # blocks are K4-free and only the K2,3 is not outerplanar.
     expected = not has_minor(g, complete_graph(4)) and not has_minor(g, k2(3))
     assert is_outerplanar(g) == expected
+
+
+MALFORMED_LINES = ["!!bad", "~", "B", "Bww", "A@", ">>graph6<<"]
+
+
+@st.composite
+def graph6_streams(draw):
+    """Stream lines: graphs (random, often disconnected; connected; K6 with
+    m = 15, over every cap drawn below; n < 3), malformed and blank lines,
+    each with or without a line end."""
+    graphs = st.one_of(small_graphs(), st.sampled_from([complete_graph(4), cycle_graph(5), diamond(), star(5),
+                                                        complete_graph(6), path_graph(1), path_graph(2)]))
+    line = st.one_of(graphs.map(emit_graph6), st.sampled_from(MALFORMED_LINES), st.just(""))
+    return draw(st.lists(st.tuples(line, st.sampled_from(["", "\n", "\r\n"])).map("".join), max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph6_streams(), st.integers(min_value=3, max_value=10))
+def test_stream_summary_tallies_the_records_before_it(lines, cap):
+    *records, summary = classify_stream(lines, cap=cap)
+    # One record per non-blank line, in order, then the summary.
+    assert [r["index"] for r in records] == [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
+    kinds = [r["type"] for r in records]
+    graphs = [r for r in records if r["type"] == "graph"]
+    assert list(summary.items()) == [
+        ("type", "summary"), ("graphs", len(graphs)), ("errors", kinds.count("error")),
+        ("skipped", kinds.count("skipped")),
+        *((field, sum(r[field] for r in graphs)) for field in ("class_i", "class_ii", "class_iii")),
+    ]
+    for record in graphs:
+        g = parse_graph6(record["graph6"])
+        census = {key: value for key, value in vars(classify(g)).items() if key != "disconnected"}
+        assert record == {"type": "graph", "index": record["index"], "graph6": record["graph6"],
+                          "n": g.n, "m": g.m, **census}
 
 
 def _fan(n):

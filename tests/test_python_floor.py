@@ -6,7 +6,8 @@ rejects syntax newer than 3.10, such as `except*` or type parameter lists.
 This checks grammar only: a stdlib function or type added after 3.10 still
 passes here.  The numpy floor is declared once, in pyproject, which the CI
 install step reads by installing the package, and which one CI job reads
-back to install numpy at exactly that version.  The names the benchmark's
+back to install numpy at exactly that version.  CI also runs the installed
+package outside the checkout, since every test here imports src/.  The names the benchmark's
 tracer (perfbench/spans.py) wraps must exist, or only a benchmark run
 would notice.  Every module-level import of a package or test module is
 used in that module (the package's __init__ imports to re-export), and
@@ -61,6 +62,21 @@ def test_ci_installs_numpy_at_the_floor_it_reads_from_pyproject():
     assert "pyproject.toml" in command
     printed = subprocess.run(["sh", "-c", command], cwd=ROOT, capture_output=True, text=True, check=True)
     assert printed.stdout == floor + "\n"
+
+
+def test_ci_runs_the_installed_package_outside_the_checkout():
+    # Every test imports src/, so only a step that runs the installed
+    # package from elsewhere, with no PYTHONPATH, catches a wheel that lacks a module.
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    steps = workflow["jobs"]["tier1"]["steps"]
+    names = [step.get("name") for step in steps]
+    [step] = [step for step in steps if "orientcorr.__file__" in step.get("run", "")]
+    assert names.index(step["name"]) > names.index("Tier-1 tests")
+    assert step["working-directory"] == "${{ runner.temp }}"
+    assert "PYTHONPATH" not in step["run"] and "PYTHONPATH" not in step.get("env", {})
+    commands = step["run"].strip().splitlines()
+    assert "site-packages" in commands[0]
+    assert commands[1:] == ["orientcorr kn --n 5", "python -m orientcorr classify --graph6 'D~{'"]
 
 
 def test_perfbench_traces_names_that_exist():
