@@ -16,7 +16,8 @@ J^(k) G = G^(k) U^(1) of exponential generating functions:
         - sum_{j=k+2}^{n-1} C(n-k-2, j-k-2) J_j 2^C(n-j,2).
 One bottom-up pass over n fills a list of these counts for every n up to
 the largest asked for, in Python ints, and nothing is normalised on the
-way; a Fraction or DyadicProb is built only for the n a caller reads.
+way; a Fraction or DyadicProb is built only for the n a caller reads, and
+the fractions module loads only when a Fraction is built.
 Each command runs one pass: `table` and `bound_report` read all their
 rows from it, and the two lru-cached probabilities are views of it.
 """
@@ -24,11 +25,16 @@ rows from it, and the two lru-cached probabilities are views of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .dyadic import DyadicProb
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _single_counts(n_max: int, k: int) -> list[int]:
     """U_n for the k-set, every n <= n_max; 0 below the smallest valid n."""
@@ -73,6 +79,8 @@ def unreachable_prob(n: int, k: int) -> Fraction:
         raise ValueError(f"need k >= 0, got k={k}")
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
+    from fractions import Fraction
+
     return Fraction(_single_counts(n, k)[n], 1 << comb(n, 2))
 
 
@@ -83,6 +91,8 @@ def joint_unreachable_prob(n: int, k: int) -> Fraction:
         raise ValueError(f"need k >= 0, got k={k}")
     if n < k + 2:
         raise ValueError(f"need n >= k+2, got n={n}, k={k}")
+    from fractions import Fraction
+
     return Fraction(_joint_counts(n, k, _single_counts(n, 1))[n], 1 << comb(n, 2))
 
 
@@ -95,6 +105,8 @@ def _rel_cov_ratio(n: int) -> tuple[int, int]:
 def relative_covariance(n: int) -> Fraction:
     """(p_joint - p_single^2) / p_joint for K_n, n >= 3.
     Each call runs the K_n pass from 2 to n: to loop over n, read table_rows once."""
+    from fractions import Fraction
+
     return Fraction(*_rel_cov_ratio(n))
 
 
@@ -158,54 +170,39 @@ def table_rows(n_max: int) -> list[KnRow]:
 # power of two (or 25 times one), the form in which bound_report compares
 # them with its bounds; no Fraction of them is ever built.
 
-def _sum_exponent(n: int) -> int:
-    """The largest k(n-k) with 0 < k < n: both auxiliary sums are integers over 2 to this power."""
-    return (n // 2) * ((n + 1) // 2)
+def _scaled_sums(n_max: int) -> list[tuple[int, int, int]]:
+    """(top, sum2, sum3) for every n <= n_max: both auxiliary sums times 2^top, in one pass.
 
-
-def _scaled_double_sum(n: int) -> int:
-    """The auxiliary sum bounding the single-event envelope slack, times 2^_sum_exponent(n).
-
-    Sum over k of C(n,k) * sum over m of C(n-k,m) / 2^(k*m), both indices
-    starting at 1.  By the binomial theorem the sum over m is
-    (1 + 2^-k)^(n-k) - 1 = ((2^k + 1)^(n-k) - 2^(k(n-k))) / 2^(k(n-k)), so
-    the terms are accumulated as one integer numerator over 2^top, the
-    largest of those denominators.
+    top is the largest k(n-k) with 0 < k < n.  sum2, which bounds the
+    single-event envelope slack, is the sum over k, m >= 1 of
+    C(n,k) C(n-k,m) / 2^(k*m); sum3, which bounds the joint-event slack, is
+    the sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
+    j = n-k-i >= 1 and m <= k.  With r = n-k and P[a][b] = (2^a + 1)^b, the
+    binomial theorem makes each k one integer over 2^(kr):
+      sum2: C(n,k) (P[k][r] - 2^(kr)),
+      sum3: C(n,k) (M(k,r) - 2^k - P[r][k] - P[k][r] + 1 + 2^(kr)),
+    where M(k,r) = sum_j C(r,j) P[j][k] = sum_t C(k,t) P[t][r], summed over
+    the shorter index.  P is built once, by columns, since every sum reads a
+    column: cols[b][a] = P[a][b] for a + b <= n_max.
     """
-    top = _sum_exponent(n)
-    num = 0
-    for k in range(1, n):
-        e = k * (n - k)
-        num += comb(n, k) * (((1 << k) + 1) ** (n - k) - (1 << e)) << (top - e)
-    return num
-
-
-def _scaled_triple_sum(n: int) -> int:
-    """The auxiliary sum bounding the joint-event envelope slack, times 2^_sum_exponent(n).
-
-    Sum over k, i, m >= 1 of C(n,k) C(n-k,i) C(k,m) / 2^(k*i + m*j) with
-    j = n-k-i >= 1 and m <= k.  The sum over m is (1 + 2^-j)^k - 1 =
-    ((2^j + 1)^k - 2^(jk)) / 2^(jk), and k*i + j*k = k(n-k) does not depend
-    on i, so each k contributes one integer over 2^(k(n-k)):
-    C(n,k) times the sum over j of C(n-k, j) ((2^j + 1)^k - 2^(jk)).  With j
-    outside and k inside, (2^j + 1)^k takes one multiplication per step of
-    k; the binomial theorem sums the 2^(jk) parts in one power per k.
-    """
-    top = _sum_exponent(n)
-    inner = [0] * n
-    for j in range(1, n - 1):
-        base = (1 << j) + 1
-        power = 1
-        for k in range(1, n - j):
-            power *= base
-            inner[k] += comb(n - k, j) * power
-    num = 0
-    for k in range(1, n - 1):
-        e = k * (n - k)
-        # The sum over 1 <= j <= n-k-1 of C(n-k, j) 2^(jk).
-        powers = ((1 << k) + 1) ** (n - k) - 1 - (1 << e)
-        num += comb(n, k) * (inner[k] - powers) << (top - e)
-    return num
+    bases = [(1 << a) + 1 for a in range(n_max + 1)]
+    cols = [[1] * (n_max + 1)]
+    pascal = [[1]]  # pascal[n][k] = C(n, k)
+    for b in range(1, n_max + 1):
+        cols.append(list(map(mul, cols[-1], bases[:n_max + 1 - b])))
+        pascal.append([1, *map(add, pascal[-1], pascal[-1][1:]), 1])
+    sums = []
+    for n in range(n_max + 1):
+        top = (n // 2) * ((n + 1) // 2)
+        sum2 = sum3 = 0
+        for k in range(1, n):
+            r, e = n - k, k * (n - k)
+            mixed = sum(map(mul, pascal[min(k, r)], cols[max(k, r)]))
+            c, own = pascal[n][k], cols[r][k]
+            sum2 += c * (own - (1 << e)) << (top - e)
+            sum3 += c * (mixed - (1 << k) - cols[k][r] - own + 1 + (1 << e)) << (top - e)
+        sums.append((top, sum2, sum3))
+    return sums
 
 
 def _scaled_margin(n: int) -> int:
@@ -268,6 +265,7 @@ def bound_report(n_max: int) -> list[BoundRow]:
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     singles, joints = _laws(n_max)
+    sums = _scaled_sums(n_max)
     rows = []
     prev_margin = None
     for n in range(2, n_max + 1):
@@ -286,8 +284,7 @@ def bound_report(n_max: int) -> list[BoundRow]:
             joint_lower_ok = joint_upper_ok = None
             joint_limit = None
             margin_below = margin_dec = None
-        top = _sum_exponent(n)
-        sum2 = _scaled_double_sum(n)
+        top, sum2, sum3 = sums[n]
         rows.append(BoundRow(
             n=n,
             single_lower_ok=((1 << (n - 1)) - 1) << e <= single << (2 * n - 3),
@@ -296,7 +293,7 @@ def bound_report(n_max: int) -> list[BoundRow]:
             joint_upper_ok=joint_upper_ok,
             sum2_bound_a_ok=5 * sum2 << 2 * n <= 28 * 7 ** n << top,
             sum2_bound_b_ok=5 * sum2 << 3 * n <= 68 * 13 ** n << top,
-            sum3_bound_ok=_scaled_triple_sum(n) << 2 * n <= 7 ** n << (top + 2),
+            sum3_bound_ok=sum3 << 2 * n <= 7 ** n << (top + 2),
             margin_below_5=margin_below,
             margin_decreased=margin_dec,
             single_scaled_limit=single / (1 << (e - n + 2)),

@@ -9,7 +9,10 @@ hence the separate signed wrapper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _strip_twos(num: int, exp: int) -> tuple[int, int]:
@@ -48,6 +51,8 @@ class DyadicProb:
         return cls.of(value.numerator, den.bit_length() - 1)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, 1 << self.exp)
 
     def __float__(self) -> float:

@@ -38,13 +38,15 @@ sweep batch, the largest whose (n, n, W) reach array fits 1 MiB.
 
 numpy loads on the first kernel call, not on import: only the functions
 that build arrays import it, so the closed forms (`kn`, `table`, `bounds`,
-`cycle`, `forest`) run without it.  run_batches imports it before any pool
+`cycle`, `forest`) run without it.  concurrent.futures (with the logging
+and queue modules it imports) loads only when run_batches starts a pool,
+so neither the closed forms nor a walk of one thread or one batch pays
+for it.  run_batches imports both on the main thread, before any pool
 thread starts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 import os
@@ -282,6 +284,8 @@ def run_batches(
     # of small graphs would pay once per graph: only a walk of several
     # batches asks it.
     if threads > 1 and (threads := min(threads, os.cpu_count() or 1)) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return sum(pool.map(run, starts))
     return sum(map(run, starts))

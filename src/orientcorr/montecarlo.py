@@ -30,7 +30,6 @@ _sample_planes import it, as the batch kernel in enumeration does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 import math
 from typing import TYPE_CHECKING
@@ -153,7 +152,9 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     """Deterministic G(n, p): each candidate edge kept by its own counter draw."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    threshold = math.floor(Fraction(p) * (1 << 64))
+    # floor(p * 2^64) exactly, from the exact ratio of a float, int or Fraction p.
+    num, den = p.as_integer_ratio()
+    threshold = (num << 64) // den
     # No pairs past the vertex cap, so graph_from_edges rejects n before any draw.
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)] if n <= MAX_VERTICES else []
     # As Python ints, so p = 1 keeps every pair against a threshold of 2^64.

@@ -20,7 +20,7 @@ from orientcorr import (
     table_rows,
     unreachable_prob,
 )
-from orientcorr.complete import _scaled_double_sum, _scaled_margin, _scaled_triple_sum, _sum_exponent
+from orientcorr.complete import _scaled_margin, _scaled_sums
 from orientcorr.dyadic import ratio_to_decimal
 from support import (
     ref_bound_report,
@@ -212,18 +212,23 @@ def test_complete_holds_no_memo_but_the_two_cleared_caches():
 
 
 def _double_sum(n):
-    return Fraction(_scaled_double_sum(n), 1 << _sum_exponent(n))
+    top, sum2, _ = _scaled_sums(n)[n]
+    return Fraction(sum2, 1 << top)
 
 
 def _triple_sum(n):
-    return Fraction(_scaled_triple_sum(n), 1 << _sum_exponent(n))
+    top, _, sum3 = _scaled_sums(n)[n]
+    return Fraction(sum3, 1 << top)
 
 
 def test_auxiliary_sums_match_triple_loop_reference():
-    for n in range(0, 61):
-        scale = 1 << _sum_exponent(n)
-        assert _scaled_double_sum(n) == ref_double_binomial_sum(n) * scale, n
-        assert _scaled_triple_sum(n) == ref_triple_binomial_sum(n) * scale, n
+    # One pass to 60 gives every n below it: the power table is built for
+    # the largest n, so a small n reads it only in part.
+    for n, (top, sum2, sum3) in enumerate(_scaled_sums(60)):
+        scale = 1 << top
+        assert top == max((k * (n - k) for k in range(1, n)), default=0), n
+        assert sum2 == ref_double_binomial_sum(n) * scale, n
+        assert sum3 == ref_triple_binomial_sum(n) * scale, n
 
 
 def test_sign_sequence():

@@ -1,5 +1,6 @@
 """Exhaustive orientation counting: goldens, invariants, the batch kernel."""
 
+import concurrent.futures
 from itertools import permutations
 import random
 
@@ -394,12 +395,13 @@ def _record_pools(monkeypatch, cores):
     thread pool's max_workers as the pool is made."""
     pools = []
 
-    class RecordingPool(enumeration.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(enumeration, "ThreadPoolExecutor", RecordingPool)
+    # run_batches imports the pool class from its module when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cores)
     return pools
 

@@ -1,7 +1,11 @@
 """Seeded sampling: fixed generator outputs, determinism, statistical sanity."""
 
+import hashlib
+import importlib.util
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from orientcorr import (
     mc_estimate,
     mix64,
 )
-from orientcorr import enumeration
+from orientcorr import enumeration, montecarlo
 from orientcorr.graphs import MAX_VERTICES
 from orientcorr.montecarlo import _sample_words
 from support import diamond, reachable
@@ -198,6 +202,47 @@ def test_gnp_replays_through_scalar_mix64(n, p, seed):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     expect = tuple(pair for t, pair in enumerate(pairs) if mix64(seed, t) < threshold)
     assert gnp_generate(n, p, seed).edges == expect
+
+
+def test_gnp_threshold_is_floor_of_p_times_2_to_64(monkeypatch):
+    # The words drawn are replaced by T - 1, T and T + 1 for the exact
+    # T = floor(p 2^64), clipped to 64 bits: only T itself keeps the first
+    # and drops the second, so the edges kept pin the threshold.
+    words = []
+    monkeypatch.setattr(montecarlo, "_sample_words",
+                        lambda seed, nwords, lo, hi: np.array(words, dtype=np.uint64)[:, None])
+    rng = random.Random(5)
+    ps = [0, 1, 0.0, 1.0, 0.5, 1 - 2.0 ** -53, 2.0 ** -1074, 2.0 ** -64, 2.0 ** -65, 3 * 2.0 ** -66,
+          Fraction(1, 3), Fraction(2, 7), Fraction((1 << 64) - 1, 1 << 64), Fraction(1, 3 << 64)]
+    ps += [rng.random() for _ in range(300)]
+    ps += [math.ldexp(rng.random(), -rng.randrange(1, 1100)) for _ in range(300)]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for p in ps:
+        threshold = math.floor(Fraction(p) * (1 << 64))
+        words[:] = [min(max(w, 0), (1 << 64) - 1) for w in (threshold - 1, threshold, threshold + 1)]
+        assert gnp_generate(3, p, 0).edges == tuple(
+            pair for pair, word in zip(pairs, words) if word < threshold), p
+
+
+# sha256 of the stdin of every query of the seeded benchmark workloads,
+# whose graphs gnp_generate draws: a change to its threshold that moved a
+# single edge would change the inputs the benchmark's history compares.
+WORKLOAD_INPUT_DIGESTS = {
+    ("triple", 1): "43004426487caf3dc7b7c6300206b8066d7d7dc8c7b8620afb5d86b4af377536",
+    ("triple", 2): "4d829170880103721e6385439b2db78954d13e05b49f91ad0a3ef0d24279cab5",
+    ("census", 1): "7997fb082794766020a0dc67a424461afeb7449c45a0bbdc012a50f4f166f3ce",
+    ("census", 2): "44f05e4e953dc0edcfc982add3f95097feeee2655c8c3d1271c2c53882e3fa38",
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_INPUT_DIGESTS), ids=str)
+def test_benchmark_workload_graphs_are_unchanged(workload, seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stdin = "\0".join(query["stdin"] for query in workloads.build(workload, seed, False))
+    assert hashlib.sha256(stdin.encode()).hexdigest() == WORKLOAD_INPUT_DIGESTS[workload, seed]
 
 
 def test_gnp_rejects_a_vertex_count_before_drawing():

@@ -15,11 +15,14 @@ the package's __all__ lists each name that __init__ imports, once.
 Importing the CLI builds no argument parser: that waits for the first
 main() call, so the import stays cheap.  Nor does it load numpy: only the
 batch kernel behind `exact`, `mc` and `classify` does, on its first call,
-so the closed-form commands run without it.
+so the closed-form commands run without it.  concurrent.futures loads
+only when a walk starts a thread pool, and fractions only when a Fraction
+is built, so neither the closed forms nor a walk on one thread load them.
 """
 
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -99,12 +102,23 @@ MODULES = sorted([*(path for path in (ROOT / "src" / "orientcorr").glob("*.py") 
                   *(ROOT / "tests").glob("*.py")])
 
 
+def _module_level_statements(tree):
+    """The module's top-level statements, with those of a top-level
+    `if TYPE_CHECKING:` block in place of the block: its imports serve
+    annotations only, and an unused one is as dead as any other."""
+    for node in tree.body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            yield from node.body
+        else:
+            yield node
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = {
         (alias.asname or alias.name).split(".")[0]
-        for node in tree.body
+        for node in _module_level_statements(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
         for alias in node.names
@@ -137,37 +151,52 @@ def test_importing_the_cli_builds_no_parser():
 CLOSED_FORMS = [["kn", "--n", "12"], ["--json", "table", "--max-n", "30"],
                 ["bounds", "--max-n", "12"], ["cycle", "--n", "12", "--a", "0", "--s", "3", "--b", "7"],
                 ["--json", "forest", "--graph6", "Ch", "--a", "0", "--s", "1", "--b", "2"]]
+EXACT = ["exact", "--graph6", "C~", "--a", "0", "--s", "1", "--b", "2", "--threads", "1"]
+# Modules only a thread pool (concurrent.futures, which imports logging) or
+# a Fraction (fractions, which imports decimal) needs.
+DEFERRED = ("concurrent.futures", "logging", "fractions", "decimal")
 
 
 def test_closed_form_commands_load_no_numpy():
-    # A fresh interpreter, so no earlier test has loaded numpy.  The one
-    # exact run at the end shows that the probe sees numpy once it loads.
+    # A fresh interpreter, so no earlier test has loaded these modules.
+    # The exact run shows that the probe sees numpy once it loads; a
+    # Fraction and a walk of several batches at 2 threads, on 2 cores
+    # whatever the host has, show that it sees the deferred modules too.
     probe = f"""
-import contextlib, io, sys
+import contextlib, io, json, os, sys
 import orientcorr, orientcorr.cli, orientcorr.montecarlo
 
 def loaded():
-    return sorted(name for name in sys.modules if name.partition(".")[0] == "numpy")
+    return [name for name in ["numpy", *{DEFERRED!r}] if name in sys.modules]
 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [orientcorr.cli.main(argv) for argv in {CLOSED_FORMS!r}]
-    before = loaded()
-    orientcorr.cli.main(["exact", "--graph6", "C~", "--a", "0", "--s", "1", "--b", "2"])
-print(codes, before, "numpy" in loaded())
+    closed = loaded()
+    orientcorr.cli.main({EXACT!r})
+    walk = loaded()
+orientcorr.unreachable_prob(5, 1)
+fraction = loaded()
+os.cpu_count = lambda: 2
+orientcorr.count_events(orientcorr.cycle_graph(18), orientcorr.Triple(0, 5, 11), threads=2)
+print(json.dumps([codes, closed, walk, fraction, loaded()]))
 """
     _, env = _child_command()
     printed = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True, timeout=60)
-    assert printed.stdout == "[0, 0, 0, 0, 0] [] True\n"
+    codes, closed, walk, fraction, pool = json.loads(printed.stdout)
+    assert (codes, closed, walk) == ([0] * 5, [], ["numpy"])
+    assert "fractions" in fraction and "concurrent.futures" not in fraction
+    assert {"concurrent.futures", "logging"} <= set(pool)
 
 
 @pytest.mark.parametrize("argv, numpy", [
     (["cycle", "--n", "12", "--a", "0", "--s", "3", "--b", "7"], False),
-    (["exact", "--graph6", "C~", "--a", "0", "--s", "1", "--b", "2"], True),
+    (EXACT, True),
 ], ids=["cycle", "exact"])
 def test_whole_command_imports_numpy_only_for_the_kernel(argv, numpy):
     # The installed wrapper where there is one, as CI runs it; the import
     # time report (stderr) names every module the process imported.
+    # Neither command starts a pool or builds a Fraction.
     command, env = _child_command()
     env["PYTHONPROFILEIMPORTTIME"] = "1"
     proc = subprocess.run(command + argv, env=env, capture_output=True, text=True, timeout=60)
@@ -176,3 +205,4 @@ def test_whole_command_imports_numpy_only_for_the_kernel(argv, numpy):
                 if line.startswith("import time:")}
     assert "orientcorr.closed_form" in imported
     assert ("numpy" in imported) is numpy
+    assert imported.isdisjoint(DEFERRED)
