@@ -15,9 +15,8 @@ independent check of that test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import DEFAULT_CAP, OverCapError, check_cap, resolve_threads, sweep_sources
 from .graphs import Graph, GraphFormatError, bfs_layers, is_connected, members, neighbours, parse_graph6
@@ -28,8 +27,7 @@ MINOR_MAX_VERTICES = 10
 CLASSES = (("I", "class_i"), ("II", "class_ii"), ("III", "class_iii"))
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(NamedTuple):
     """Triple-sign census and the resulting class memberships.
 
     The field order is the key order of the census in `classify --json`.

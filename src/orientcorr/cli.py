@@ -79,7 +79,7 @@ def _load_graph_triple(args) -> tuple[Graph, Triple]:
 
 
 def _triple_fields(g: Graph, t: Triple) -> dict:
-    return {"n": g.n, "m": g.m, **vars(t)}
+    return {"n": g.n, "m": g.m, **t._asdict()}
 
 
 def _triple_header(g: Graph, t: Triple) -> str:
@@ -190,7 +190,7 @@ def cmd_cycle(args) -> int:
     except ValueError as exc:
         return _usage_error(f"cycle: {exc}")
     cor = closed_form.cycle_correlation(triple)
-    record = _record("cycle", **vars(triple), **_correlation_json(cor))
+    record = _record("cycle", **triple._asdict(), **_correlation_json(cor))
     human = (
         f"cycle n = {triple.n}, arcs c = {triple.c}, d = {triple.d}\n"
         + _correlation_lines(cor)
@@ -242,7 +242,7 @@ def cmd_classify(args) -> int:
     g = parse_graph6(args.graph6)
     flags = classify(g, cap=args.cap, threads=args.threads,
                      allow_disconnected=args.allow_disconnected)
-    record = _record("classify", graph6=args.graph6, n=g.n, m=g.m, **vars(flags))
+    record = _record("classify", graph6=args.graph6, n=g.n, m=g.m, **flags._asdict())
     lines = [
         f"n = {g.n}, m = {g.m}",
         f"triples: neg={flags.neg_triples} zero={flags.zero_triples} pos={flags.pos_triples}",
@@ -262,7 +262,7 @@ def cmd_mc(args) -> int:
     if args.samples < 1:
         return _usage_error(f"mc: need --samples >= 1, got {args.samples}")
     est = mc_estimate(g, t, args.samples, args.seed, threads=args.threads)
-    record = _record("mc", **_triple_fields(g, t), **vars(est))
+    record = _record("mc", **_triple_fields(g, t), **est._asdict())
     human = (
         f"{_triple_header(g, t)}\n"
         f"samples = {est.samples}, seed = {est.seed}\n"
@@ -282,7 +282,7 @@ def cmd_bounds(args) -> int:
         return _usage_error(f"bounds: need --max-n >= 3, got {args.max_n}")
     rows = complete.bound_report(args.max_n)
     all_ok = all(r.all_ok() for r in rows)
-    record = _record("bounds", max_n=args.max_n, all_ok=all_ok, rows=[dict(vars(r)) for r in rows])
+    record = _record("bounds", max_n=args.max_n, all_ok=all_ok, rows=[r._asdict() for r in rows])
     def mark(flag):
         return "-" if flag is None else ("ok" if flag else "FAIL")
     lines = ["  n  s_lo  s_hi  j_lo  j_hi  sum2a sum2b  sum3  mdec  m<5  2^(n-2)*p1    2^(2n-3)*p2"]

@@ -9,27 +9,30 @@ s, or a component boundary separates the triple) or mutually exclusive
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dyadic import SignedDyadic, TripleCorrelation
 from .graphs import Graph, Triple, components, distances
 
 
-@dataclass(frozen=True)
-class CycleTriple:
+class CycleTriple(NamedTuple("_Arcs", [("n", int), ("c", int), ("d", int)])):
     """A triple on the n-cycle given by arc lengths in rotation order.
 
     c edges from a to s, d edges from s to b, n - c - d edges back to a;
-    all three arcs must be nonempty.
+    all three arcs must be nonempty.  A NamedTuple cannot override __new__,
+    hence the check in a subclass; _make, and _replace through it, check too.
     """
 
-    n: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c < 1 or self.d < 1 or self.n - self.c - self.d < 1:
-            raise ValueError(f"arc lengths ({self.c}, {self.d}, {self.n - self.c - self.d}) must all be >= 1")
+    def __new__(cls, n: int, c: int, d: int) -> "CycleTriple":
+        if c < 1 or d < 1 or n - c - d < 1:
+            raise ValueError(f"arc lengths ({c}, {d}, {n - c - d}) must all be >= 1")
+        return super().__new__(cls, n, c, d)
+
+    @classmethod
+    def _make(cls, iterable) -> "CycleTriple":
+        return cls(*iterable)
 
 
 def _check_cycle(n: int) -> None:
@@ -67,8 +70,7 @@ def cycle_cov_bound(n: int) -> SignedDyadic:
     return SignedDyadic.of(-1, 2 * n)
 
 
-@dataclass(frozen=True)
-class ForestVerdict:
+class ForestVerdict(NamedTuple):
     """Outcome of the forest dichotomy for one triple."""
 
     kind: str  # "independent" or "mutually_exclusive"

@@ -24,11 +24,10 @@ rows from it, and the two lru-cached probabilities are views of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dyadic import DyadicProb
 
@@ -118,8 +117,7 @@ def covariance_sign(n: int) -> int:
     return (num > 0) - (num < 0)
 
 
-@dataclass(frozen=True)
-class KnRow:
+class KnRow(NamedTuple):
     """One table row: exact no-path probabilities on K_n.
 
     scaled_single and scaled_joint are the numerators over 2^C(n,2); the
@@ -217,8 +215,7 @@ def _scaled_margin(n: int) -> int:
     return 25 * (1 << (5 * n - 1)) + 160 * 56 ** (n - 1) + 256 * 49 ** (n - 1)
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """Exact verdicts for the analytic bounds at one n.
 
     The field order is the key order of a `bounds --json` row.

@@ -8,8 +8,7 @@ hence the separate signed wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -23,8 +22,7 @@ def _strip_twos(num: int, exp: int) -> tuple[int, int]:
     return num >> twos, exp - twos
 
 
-@dataclass(frozen=True)
-class DyadicProb:
+class DyadicProb(NamedTuple):
     """A probability num / 2**exp with 0 <= value <= 1, stored in normal form."""
 
     num: int
@@ -63,8 +61,7 @@ class DyadicProb:
         return f"{self.num}/2^{self.exp}"
 
 
-@dataclass(frozen=True)
-class SignedDyadic:
+class SignedDyadic(NamedTuple):
     """A signed dyadic rational: sign in {-1, 0, 1} plus a magnitude."""
 
     sign: int
@@ -96,8 +93,7 @@ def parse_dyadic(text: str) -> DyadicProb:
     return DyadicProb.of(int(num_part), int(exp_part))
 
 
-@dataclass(frozen=True)
-class TripleCorrelation:
+class TripleCorrelation(NamedTuple):
     """Exact joint law of the two path events for one (a, s, b) triple.
 
     p_c is P(path a->s), p_d is P(path s->b), p_cd their joint probability,

@@ -47,10 +47,9 @@ thread starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 import os
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .dyadic import TripleCorrelation
 from .graphs import Graph, Triple, distances
@@ -71,8 +70,7 @@ class OverCapError(RuntimeError):
     """Raised when an exhaustive walk over orientations would exceed the edge cap."""
 
 
-@dataclass(frozen=True)
-class OrientationCounts:
+class OrientationCounts(NamedTuple):
     """Occurrence counts over all 2^m orientations of one triple's events."""
 
     m: int

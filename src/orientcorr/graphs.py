@@ -8,8 +8,7 @@ orientation words throughout the package (bit set means u -> v).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 62
 
@@ -20,11 +19,14 @@ class GraphFormatError(ValueError):
     """Raised when a graph description (graph6 or edge list) cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
+    """n, the sorted edges, and adjacency[v], the bitset of v's neighbours.
+
+    adjacency follows from n and edges, so it adds nothing to equality or hashing."""
+
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[int, ...] = field(compare=False)
+    adjacency: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -55,8 +57,7 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(sorted(seen)), tuple(adjacency))
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """An ordered triple (a, s, b) of distinct vertices: source, middle, target."""
 
     a: int

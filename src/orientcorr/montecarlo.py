@@ -29,10 +29,9 @@ _sample_planes import it, as the batch kernel in enumeration does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .enumeration import triple_counts
 from .graphs import MAX_VERTICES, Graph, Triple, graph_from_edges
@@ -54,9 +53,10 @@ def mix64(seed: int, counter: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Sampled joint law of the two path events, with exact cell counts."""
+class McEstimate(NamedTuple):
+    """Sampled joint law of the two path events, with exact cell counts.
+
+    The field order is the key order of `mc --json` after the triple."""
 
     samples: int
     seed: int

@@ -2,7 +2,6 @@
 
 import importlib
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,7 +46,7 @@ def test_census_goldens(name):
     assert not flags.disconnected
     # The stream reaches the census by its own path, so check it agrees.
     [record, _summary] = classify_stream([emit_graph6(g)])
-    census = {key: value for key, value in asdict(flags).items() if key != "disconnected"}
+    census = {key: value for key, value in flags._asdict().items() if key != "disconnected"}
     assert record == {"type": "graph", "index": 0, "graph6": emit_graph6(g), "n": g.n, "m": g.m, **census}
 
 
@@ -343,7 +342,7 @@ def test_stream_summary_tallies_the_records_before_it(lines, cap):
     ]
     for record in graphs:
         g = parse_graph6(record["graph6"])
-        census = {key: value for key, value in vars(classify(g)).items() if key != "disconnected"}
+        census = {key: value for key, value in classify(g)._asdict().items() if key != "disconnected"}
         assert record == {"type": "graph", "index": record["index"], "graph6": record["graph6"],
                           "n": g.n, "m": g.m, **census}
 

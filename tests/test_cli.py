@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, JSON shapes, and byte-stable output."""
 
-import dataclasses
 import fractions
 import gc
 import hashlib
@@ -18,11 +17,20 @@ import pytest
 
 import orientcorr
 from orientcorr import (
+    BoundRow,
+    ClassFlags,
+    DyadicProb,
+    McEstimate,
+    SignedDyadic,
     Triple,
+    bound_report,
+    classify,
+    complete_graph,
     count_events,
     cycle_correlation,
     emit_graph6,
     exact_correlation,
+    forest_correlation,
     graph_from_edges,
     mc_estimate,
     parse_dyadic,
@@ -366,12 +374,39 @@ def test_bounds_json(capsys):
     assert rows[8]["margin_below_5"] is True
 
 
+def test_records_are_immutable_named_tuples(capsys):
+    g = complete_graph(4)
+    t = Triple(0, 1, 2)
+    records = [
+        DyadicProb.of(1, 1), SignedDyadic.of(-1, 2), exact_correlation(g, t), g, t,
+        count_events(g, t), table_row(5), bound_report(3)[-1], CycleTriple(5, 1, 1),
+        forest_correlation(path_graph(3), t), mc_estimate(g, t, 64, 1), classify(g),
+    ]
+    public = {name for name in orientcorr.__all__
+              if isinstance(getattr(orientcorr, name), type) and issubclass(getattr(orientcorr, name), tuple)}
+    assert sorted(type(r).__name__ for r in records) == sorted(public)
+    for record in records:
+        # A field named like a tuple method (count, index) would shadow it.
+        assert not set(record._fields) & set(dir(tuple))
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+    # Where a docstring promises the --json key order, _fields is that order.
+    _, out, _ = run_cli(capsys, ["--json", "classify", "--graph6", K4_G6])
+    assert list(json.loads(out)) == ["schema_version", "command", "graph6", "n", "m", *ClassFlags._fields]
+    _, out, _ = run_cli(capsys, ["--json", "bounds", "--max-n", "4"])
+    assert all(list(row) == list(BoundRow._fields) for row in json.loads(out)["rows"])
+    _, out, _ = run_cli(capsys, ["--json", "mc", "--graph6", K4_G6, "--a", "0", "--s", "1", "--b", "2",
+                                 "--samples", "64", "--seed", "1"])
+    assert list(json.loads(out)) == ["schema_version", "command", "n", "m", "a", "s", "b", *McEstimate._fields]
+
+
 def test_bounds_failed_check_exits_5(capsys, monkeypatch):
     real = complete.bound_report
 
     def one_row_fails(n_max):
         rows = real(n_max)
-        rows[3] = dataclasses.replace(rows[3], sum3_bound_ok=False)
+        rows[3] = rows[3]._replace(sum3_bound_ok=False)
         return rows
 
     assert run_cli(capsys, ["bounds", "--max-n", "8"])[0] == 0

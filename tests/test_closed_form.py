@@ -41,6 +41,18 @@ def test_arc_validation():
         CycleTriple(5, 2, 3)
 
 
+def test_replace_and_make_check_the_arcs_too():
+    t = CycleTriple(5, 1, 1)
+    assert t._replace(d=2) == CycleTriple._make([5, 1, 2]) == (5, 1, 2)
+    assert type(t._replace(d=2)) is type(CycleTriple._make([5, 1, 2])) is CycleTriple
+    with pytest.raises(ValueError, match=r"^arc lengths \(0, 1, 4\) must all be >= 1$"):
+        t._replace(c=0)
+    with pytest.raises(ValueError, match=r"^arc lengths \(1, 1, 0\) must all be >= 1$"):
+        t._replace(n=2)
+    with pytest.raises(ValueError, match=r"^arc lengths \(2, 3, 0\) must all be >= 1$"):
+        CycleTriple._make((5, 2, 3))
+
+
 def test_labeled_derivation():
     t = cycle_triple_from_labels(6, 0, 2, 3)
     assert (t.n, t.c, t.d) == (6, 2, 1)

@@ -1,7 +1,6 @@
 """Complete-graph recursions, the scaled table, and the analytic bounds."""
 
 import ast
-import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -304,7 +303,7 @@ def test_bound_row_checks_are_the_verdicts_in_column_order():
         assert r.checks() == tuple(getattr(r, name) for name in verdicts)
     # n = 2 has no joint verdicts: None is not a failure, False is.
     assert rows[0].checks()[2:4] == (None, None) and rows[0].all_ok()
-    assert not dataclasses.replace(rows[2], margin_decreased=False).all_ok()
+    assert not rows[2]._replace(margin_decreased=False).all_ok()
 
 
 def test_margin_first_below_five_at_eight():

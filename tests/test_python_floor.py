@@ -18,6 +18,8 @@ batch kernel behind `exact`, `mc` and `classify` does, on its first call,
 so the closed-form commands run without it.  concurrent.futures loads
 only when a walk starts a thread pool, and fractions only when a Fraction
 is built, so neither the closed forms nor a walk on one thread load them.
+The records are named tuples, so the package loads neither dataclasses
+nor inspect; of what a command imports, only numpy loads inspect.
 """
 
 import ast
@@ -155,20 +157,25 @@ EXACT = ["exact", "--graph6", "C~", "--a", "0", "--s", "1", "--b", "2", "--threa
 # Modules only a thread pool (concurrent.futures, which imports logging) or
 # a Fraction (fractions, which imports decimal) needs.
 DEFERRED = ("concurrent.futures", "logging", "fractions", "decimal")
+# Modules the records, being named tuples, do not need; numpy imports
+# inspect itself.
+UNUSED = ("dataclasses", "inspect")
 
 
 def test_closed_form_commands_load_no_numpy():
     # A fresh interpreter, so no earlier test has loaded these modules.
     # The exact run shows that the probe sees numpy once it loads; a
     # Fraction and a walk of several batches at 2 threads, on 2 cores
-    # whatever the host has, show that it sees the deferred modules too.
+    # whatever the host has, show that it sees the deferred modules too,
+    # and a last import that it sees dataclasses.
     probe = f"""
 import contextlib, io, json, os, sys
 import orientcorr, orientcorr.cli, orientcorr.montecarlo
 
 def loaded():
-    return [name for name in ["numpy", *{DEFERRED!r}] if name in sys.modules]
+    return [name for name in ["numpy", *{DEFERRED!r}, *{UNUSED!r}] if name in sys.modules]
 
+imported = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [orientcorr.cli.main(argv) for argv in {CLOSED_FORMS!r}]
     closed = loaded()
@@ -178,15 +185,19 @@ orientcorr.unreachable_prob(5, 1)
 fraction = loaded()
 os.cpu_count = lambda: 2
 orientcorr.count_events(orientcorr.cycle_graph(18), orientcorr.Triple(0, 5, 11), threads=2)
-print(json.dumps([codes, closed, walk, fraction, loaded()]))
+pool = loaded()
+import dataclasses
+print(json.dumps([imported, codes, closed, walk, fraction, pool, loaded()]))
 """
     _, env = _child_command()
     printed = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True, timeout=60)
-    codes, closed, walk, fraction, pool = json.loads(printed.stdout)
-    assert (codes, closed, walk) == ([0] * 5, [], ["numpy"])
+    imported, codes, closed, walk, fraction, pool, last = json.loads(printed.stdout)
+    assert (imported, codes, closed) == ([], [0] * 5, [])
+    assert [name for name in walk if name != "inspect"] == ["numpy"]
     assert "fractions" in fraction and "concurrent.futures" not in fraction
-    assert {"concurrent.futures", "logging"} <= set(pool)
+    assert {"concurrent.futures", "logging"} <= set(pool) and "dataclasses" not in pool
+    assert "dataclasses" in last
 
 
 @pytest.mark.parametrize("argv, numpy", [
